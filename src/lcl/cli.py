@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import os
 import sys
 
@@ -168,78 +167,20 @@ def cmd_run(args):
     return EXIT_OK
 
 
-def _read_raw_csv(path):
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    missing = set(experiments.RAW_HEADER) - set(reader.fieldnames or [])
-    if missing:
-        raise UsageError(f"{path}: missing columns {sorted(missing)}")
-    return rows
-
-
-def _method_label(row):
-    if row["encoding"] == "LCL" and row["epsilon"]:
-        return f"LCL(eps={float(row['epsilon']):g})"
-    if row["encoding"] == "LS" and row["alpha"]:
-        return f"LS(alpha={float(row['alpha']):g})"
-    if row["config_id"].endswith("_m2"):
-        return "DML2"
-    if row["encoding"] == "DML":
-        return "DML1"
-    return row["encoding"]
-
-
 def cmd_report(args):
-    rows = []
+    """Aggregate and rank raw CSVs with the code `run` uses, so a run's own
+    raw_results.csv reproduces its aggregate.csv and rank_report.txt."""
+    results = []
     for path in args.raw:
         if not os.path.exists(path):
             raise UsageError(f"raw CSV not found: {path}")
-        rows.extend(_read_raw_csv(path))
-    if not rows:
+        results.extend(experiments.read_raw_csv(path))
+    if not results:
         raise UsageError("no raw result rows")
-    groups = {}
-    for row in rows:
-        groups.setdefault(row["config_id"], []).append(row)
-    out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    agg_path = os.path.join(out_dir, "aggregate.csv")
-    with open(agg_path, "w", encoding="utf-8", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(experiments.AGG_HEADER)
-        for config_id in sorted(groups):
-            rs = groups[config_id]
-            top1 = np.array([float(r["top1"]) for r in rs])
-            top5 = np.array([float(r["top5"]) for r in rs])
-            w.writerow([config_id, rs[0]["encoding"], rs[0]["epsilon"],
-                        rs[0]["alpha"], rs[0]["dr"], len(rs),
-                        repr(top1.mean()), repr(top1.std(ddof=0)),
-                        repr(top5.mean()), repr(top5.std(ddof=0))])
-    print(f"wrote {agg_path} ({len(groups)} configs)")
-    methods = sorted({_method_label(r) for r in rows})
-    settings = sorted({(r["dr"], r["seed"]) for r in rows})
-    rank_path = os.path.join(out_dir, "rank_report.txt")
-    if len(methods) < 2 or len(settings) < 2:
-        msg = "rank test skipped: need >= 2 methods and >= 2 settings"
-        print(msg)
-        with open(rank_path, "w", encoding="utf-8") as fh:
-            fh.write(msg + "\n")
-        return EXIT_OK
-    table = np.full((len(settings), len(methods)), np.nan)
-    for r in rows:
-        i = settings.index((r["dr"], r["seed"]))
-        j = methods.index(_method_label(r))
-        table[i, j] = float(r["top1"])
-    if not np.all(np.isfinite(table)):
-        msg = "rank test skipped: incomplete method x setting score table"
-        print(msg)
-        with open(rank_path, "w", encoding="utf-8") as fh:
-            fh.write(msg + "\n")
-        return EXIT_OK
-    rank = experiments.friedman_iman_davenport(table, methods)
-    print(rank.report())
-    with open(rank_path, "w", encoding="utf-8") as fh:
-        fh.write(rank.report() + "\n")
+    os.makedirs(args.out_dir, exist_ok=True)
+    agg, _, text = experiments.write_summary(results, args.out_dir)
+    print(f"wrote {os.path.join(args.out_dir, 'aggregate.csv')} ({len(agg)} configs)")
+    print(text)
     return EXIT_OK
 
 

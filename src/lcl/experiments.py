@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +20,23 @@ ENCODINGS = ("SL", "LS", "LCL", "KD", "DML")
 
 class ExperimentError(ValueError):
     """Invalid experiment configuration or inputs."""
+
+
+DEFAULT_ALPHA = 0.1  # LS
+DEFAULT_TEMPERATURE = 1.0  # KD
+
+
+def method_label(encoding, epsilon=None, alpha=None, kd_temperature=None):
+    """Encoding plus its own hyperparameter, default filled in, independent
+    of DR/seed."""
+    if encoding == "LCL":
+        return f"LCL(eps={epsilon:g})"
+    if encoding == "LS":
+        return f"LS(alpha={DEFAULT_ALPHA if alpha is None else alpha:g})"
+    if encoding == "KD":
+        t = DEFAULT_TEMPERATURE if kd_temperature is None else kd_temperature
+        return f"KD(T={t:g})"
+    return encoding
 
 
 @dataclass(frozen=True)
@@ -38,7 +56,6 @@ class ExperimentConfig:
     lam: float = 1e-4
     architecture: str = "linear"
     hidden: int = 64
-    similarity_source: str = "embedding"
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(self.seeds))
@@ -61,22 +78,15 @@ class ExperimentConfig:
 
     @property
     def effective_alpha(self):
-        return 0.1 if self.alpha is None else self.alpha
+        return DEFAULT_ALPHA if self.alpha is None else self.alpha
 
     @property
     def effective_temperature(self):
-        return 1.0 if self.kd_temperature is None else self.kd_temperature
+        return DEFAULT_TEMPERATURE if self.kd_temperature is None else self.kd_temperature
 
     @property
     def method_label(self):
-        """Encoding plus its own hyperparameter, independent of DR/seed."""
-        if self.encoding == "LCL":
-            return f"LCL(eps={self.epsilon:g})"
-        if self.encoding == "LS":
-            return f"LS(alpha={self.effective_alpha:g})"
-        if self.encoding == "KD":
-            return f"KD(T={self.effective_temperature:g})"
-        return self.encoding
+        return method_label(self.encoding, self.epsilon, self.alpha, self.kd_temperature)
 
     @property
     def config_id(self):
@@ -137,79 +147,37 @@ def _rng_streams(seed):
     }
 
 
-def _init_model(config, dim, num_classes, rng):
-    arch = config.architecture
-    if arch == "linear":
-        params = model.init_params("linear", dim, num_classes, seed=0)
-    else:
-        params = model.init_params("mlp1", dim, num_classes,
-                                   hidden=config.hidden, seed=0)
-    # re-draw with the trial's stream so pairing is controlled by the seed
-    def glorot(shape):
-        limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-        return rng.uniform(-limit, limit, size=shape)
-
-    if arch == "linear":
-        return replace(params, W_out=glorot(params.W_out.shape))
-    return replace(params, W1=glorot(params.W1.shape),
-                   W_out=glorot(params.W_out.shape))
-
-
-def _train(config, params, train, targets_for_epoch, shuffle_rng):
-    """Generic epoch/batch SGD loop. targets_for_epoch(epoch, labels) returns
-    the (n, C) target rows for a batch."""
-    xs, ys = train.features, train.labels
+def _train(config, models, xs, targets_at, shuffle_rng):
+    """The SGD loop of every encoding. targets_at(epoch) returns the (n, C)
+    per-example targets; two models are a DML pair, each also pulled toward
+    the other's prediction. Returns the trained models and their per-epoch
+    mean losses."""
+    models = list(models)
+    histories = [[] for _ in models]
     n = xs.shape[0]
-    history = []
     for epoch in range(config.epochs):
         lr = config.lr * config.lr_decay ** epoch
+        targets = targets_at(epoch)
         order = shuffle_rng.permutation(n)
-        epoch_losses = []
+        losses = [[] for _ in models]
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            xb, yb = xs[idx], ys[idx]
-            tb = targets_for_epoch(epoch, yb)
-            preds = model.forward(params, xb)
-            ce = -np.sum(tb * np.log(np.maximum(preds, model.PROB_FLOOR)), axis=1)
-            epoch_losses.append(float(np.mean(ce)) + config.lam * model.regularizer(params))
-            grads = model.gradient_from_arrays(params, xb, tb, config.lam)
-            params = model.sgd_step(params, grads, lr)
-        history.append(float(np.mean(epoch_losses)))
-    return params, history
-
-
-def _train_dml(config, p1, p2, train, shuffle_rng):
-    """Joint SGD on both mutual-learning models; one-hot own targets plus a
-    mimicry error signal toward the other model's prediction."""
-    xs, ys = train.features, train.labels
-    n = xs.shape[0]
-    eye = np.eye(train.num_classes)
-    hist1, hist2 = [], []
-    for epoch in range(config.epochs):
-        lr = config.lr * config.lr_decay ** epoch
-        order = shuffle_rng.permutation(n)
-        losses1, losses2 = [], []
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, yb = xs[idx], ys[idx]
-            tb = eye[yb]
-            pred1 = model.forward(p1, xb)
-            pred2 = model.forward(p2, xb)
-            ce1 = -np.sum(tb * np.log(np.maximum(pred1, model.PROB_FLOOR)), axis=1)
-            ce2 = -np.sum(tb * np.log(np.maximum(pred2, model.PROB_FLOOR)), axis=1)
-            kl21 = np.array([model.kl_divergence(q, p) for q, p in zip(pred2, pred1)])
-            kl12 = np.array([model.kl_divergence(p, q) for p, q in zip(pred1, pred2)])
-            losses1.append(float(np.mean(ce1 + kl21)) + config.lam * model.regularizer(p1))
-            losses2.append(float(np.mean(ce2 + kl12)) + config.lam * model.regularizer(p2))
-            g1 = model.gradient_from_arrays(p1, xb, tb, config.lam,
-                                            extra_logit_error=pred1 - pred2)
-            g2 = model.gradient_from_arrays(p2, xb, tb, config.lam,
-                                            extra_logit_error=pred2 - pred1)
-            p1 = model.sgd_step(p1, g1, lr)
-            p2 = model.sgd_step(p2, g2, lr)
-        hist1.append(float(np.mean(losses1)))
-        hist2.append(float(np.mean(losses2)))
-    return p1, p2, hist1, hist2
+            xb, tb = xs[idx], targets[idx]
+            preds = [model.forward(p, xb) for p in models]
+            ces = [-np.sum(tb * np.log(np.maximum(pred, model.PROB_FLOOR)), axis=1)
+                   for pred in preds]
+            errs = [pred - tb for pred in preds]
+            if len(models) == 2:  # mimicry: KL(peer || own), logit error own - peer
+                ces = [ces[0] + model.kl_rows(preds[1], preds[0]),
+                       ces[1] + model.kl_rows(preds[0], preds[1])]
+                errs = [errs[0] + (preds[0] - preds[1]), errs[1] + (preds[1] - preds[0])]
+            for m, params in enumerate(models):
+                losses[m].append(float(np.mean(ces[m])) + config.lam * model.regularizer(params))
+                grads = model.gradient_from_arrays(params, xb, errs[m], config.lam)
+                models[m] = model.sgd_step(params, grads, lr)
+        for history, epoch_losses in zip(histories, losses):
+            history.append(float(np.mean(epoch_losses)))
+    return models, histories
 
 
 def _evaluate(params, test):
@@ -235,84 +203,56 @@ def run_trial(config, seed, train, test, sim=None, debug_verify=False):
     streams = _rng_streams(seed)
     if config.dr < 1.0:
         train = subsample(train, config.dr, seed)
-    c = train.num_classes
-    params = _init_model(config, train.dim, c, streams["init"])
-    companion = None
+    xs, ys, c = train.features, train.labels, train.num_classes
 
-    if config.encoding in ("SL", "LS", "LCL"):
-        if config.encoding == "SL":
-            rows = np.eye(c)
-            targets = lambda epoch, yb: rows[yb]
-        elif config.encoding == "LS":
-            rows = np.stack([curriculum.label_smoothing(i, c, config.effective_alpha).probs
-                             for i in range(c)])
-            targets = lambda epoch, yb: rows[yb]
-        else:
-            schedule0 = curriculum.init_targets(sim, config.epsilon)
-            if debug_verify:
-                report = curriculum.verify_curriculum(schedule0, config.epochs)
-                if not report.passed:
-                    raise ExperimentError("curriculum axioms violated:\n" + report.summary())
-            state = {"schedule": schedule0}
+    def init(stream):
+        return model.init_params(config.architecture, train.dim, c,
+                                 hidden=config.hidden, seed=streams[stream])
 
-            def targets(epoch, yb):
-                state["schedule"] = curriculum.advance_to(state["schedule"], epoch)
-                return state["schedule"].targets[yb]
+    one_hot = np.eye(c)[ys]
+    targets_at = lambda epoch: one_hot
+    models, shuffle = [init("init")], streams["shuffle"]
+    if config.encoding == "LS":
+        rows = np.stack([curriculum.label_smoothing(i, c, config.effective_alpha).probs
+                         for i in range(c)])
+        smoothed = rows[ys]
+        targets_at = lambda epoch: smoothed
+    elif config.encoding == "LCL":
+        schedule = curriculum.init_targets(sim, config.epsilon)
+        if debug_verify:
+            report = curriculum.verify_curriculum(schedule, config.epochs)
+            if not report.passed:
+                raise ExperimentError("curriculum axioms violated:\n" + report.summary())
 
-        params, history = _train(config, params, train, targets, streams["shuffle"])
+        def targets_at(epoch):
+            nonlocal schedule
+            schedule = curriculum.advance_to(schedule, epoch)
+            return schedule.targets[ys]
     elif config.encoding == "KD":
         # teacher is a full-budget SL run under the same seed streams
-        rows = np.eye(c)
-        teacher, _ = _train(config, params, train,
-                            lambda epoch, yb: rows[yb], streams["shuffle"])
-        temp = config.effective_temperature
-        soft = model._softmax(model.logits(teacher, train.features) / temp)
-        student = _init_model(config, train.dim, c, streams["init2"])
-        params, history = _train_kd(config, student, train, soft, streams["shuffle2"])
-    else:  # DML
-        p2 = _init_model(config, train.dim, c, streams["init2"])
-        params, p2, history, hist2 = _train_dml(config, params, p2, train,
-                                                streams["shuffle"])
-        top1_2, top5_2 = _evaluate(p2, test)
-        companion = TrialResult(
-            config_id=config.config_id + "_m2", method_label="DML2",
-            encoding="DML", epsilon=None, alpha=None, dr=config.dr, seed=seed,
-            top1=top1_2, top5=top5_2, final_loss=hist2[-1],
-            loss_history=tuple(hist2), epochs=config.epochs, wall_ms=0.0,
-            final_params=p2)
-
-    top1, top5 = _evaluate(params, test)
+        (teacher,), _ = _train(config, models, xs, targets_at, shuffle)
+        soft = model._softmax(model.logits(teacher, xs) / config.effective_temperature)
+        targets_at = lambda epoch: soft
+        models, shuffle = [init("init2")], streams["shuffle2"]
+    elif config.encoding == "DML":
+        models.append(init("init2"))
+    models, histories = _train(config, models, xs, targets_at, shuffle)
+    scores = [_evaluate(params, test) for params in models]
     wall_ms = (time.perf_counter() - t_start) * 1000.0
-    label = "DML1" if config.encoding == "DML" else config.method_label
-    return TrialResult(
-        config_id=config.config_id, method_label=label,
-        encoding=config.encoding, epsilon=config.epsilon,
-        alpha=config.alpha if config.encoding == "LS" else None,
-        dr=config.dr, seed=seed, top1=top1, top5=top5,
-        final_loss=history[-1], loss_history=tuple(history),
-        epochs=config.epochs, wall_ms=wall_ms,
-        final_params=params, companion=companion)
+    alpha = config.effective_alpha if config.encoding == "LS" else None
 
+    def result(m, config_id, label, companion=None):
+        return TrialResult(
+            config_id=config_id, method_label=label, encoding=config.encoding,
+            epsilon=config.epsilon, alpha=alpha, dr=config.dr, seed=seed,
+            top1=scores[m][0], top5=scores[m][1], final_loss=histories[m][-1],
+            loss_history=tuple(histories[m]), epochs=config.epochs, wall_ms=wall_ms,
+            final_params=models[m], companion=companion)
 
-def _train_kd(config, params, train, soft_targets, shuffle_rng):
-    """Student SGD against fixed per-example teacher soft targets."""
-    xs = train.features
-    n = xs.shape[0]
-    history = []
-    for epoch in range(config.epochs):
-        lr = config.lr * config.lr_decay ** epoch
-        order = shuffle_rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, tb = xs[idx], soft_targets[idx]
-            preds = model.forward(params, xb)
-            ce = -np.sum(tb * np.log(np.maximum(preds, model.PROB_FLOOR)), axis=1)
-            epoch_losses.append(float(np.mean(ce)) + config.lam * model.regularizer(params))
-            grads = model.gradient_from_arrays(params, xb, tb, config.lam)
-            params = model.sgd_step(params, grads, lr)
-        history.append(float(np.mean(epoch_losses)))
-    return params, history
+    if config.encoding == "DML":  # both rows carry the pair's wall time
+        return result(0, config.config_id, "DML1",
+                      result(1, config.config_id + "_m2", "DML2"))
+    return result(0, config.config_id, config.method_label)
 
 
 @dataclass(frozen=True)
@@ -331,13 +271,14 @@ class AggregateRow:
 
 
 def aggregate(results):
-    """Per-config mean and standard deviation (divisor n) of top1/top5."""
+    """Per-config mean and standard deviation (divisor n) of top1/top5, over
+    the trials in seed order (the order of the raw CSV)."""
     groups = {}
     for r in results:
         groups.setdefault(r.config_id, []).append(r)
     rows = []
     for config_id in sorted(groups):
-        rs = groups[config_id]
+        rs = sorted(groups[config_id], key=lambda r: r.seed)
         top1 = np.array([r.top1 for r in rs])
         top5 = np.array([r.top5 for r in rs])
         rows.append(AggregateRow(
@@ -442,6 +383,52 @@ def write_raw_csv(results, path):
                         repr(r.final_loss), r.epochs, f"{r.wall_ms:.1f}"])
 
 
+def _optional_float(text):
+    return None if text == "" else float(text)
+
+
+def _result_from_row(row):
+    if None in row or None in row.values():
+        raise ValueError(f"expected {len(RAW_HEADER)} cells")
+    config_id, encoding = row["config_id"], row["encoding"]
+    epsilon, alpha = _optional_float(row["epsilon"]), _optional_float(row["alpha"])
+    if encoding not in ENCODINGS:
+        raise ValueError(f"unknown encoding {encoding!r}")
+    if (epsilon is None) == (encoding == "LCL"):
+        raise ValueError("epsilon is required exactly for LCL")
+    if encoding == "DML":
+        label = "DML2" if config_id.endswith("_m2") else "DML1"
+    else:
+        # the raw CSV has no temperature column; config_id starts "KD-T<T>_"
+        kd = re.match(r"KD-T([^_]+)_", config_id)
+        label = method_label(encoding, epsilon, alpha, float(kd.group(1)) if kd else None)
+    final_loss = float(row["final_loss"])
+    return TrialResult(
+        config_id=config_id, method_label=label, encoding=encoding,
+        epsilon=epsilon, alpha=alpha, dr=float(row["dr"]), seed=int(row["seed"]),
+        top1=float(row["top1"]), top5=float(row["top5"]), final_loss=final_loss,
+        loss_history=(final_loss,), epochs=int(row["epochs"]),
+        wall_ms=float(row["wall_ms"]))
+
+
+def read_raw_csv(path):
+    """Trial results from a raw CSV written by write_raw_csv, without loss
+    histories or parameters. Malformed rows raise ExperimentError naming
+    path:line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = set(RAW_HEADER) - set(reader.fieldnames or [])
+        if missing:
+            raise ExperimentError(f"{path}: missing columns {sorted(missing)}")
+        results = []
+        for row in reader:
+            try:
+                results.append(_result_from_row(row))
+            except ValueError as exc:
+                raise ExperimentError(f"{path}:{reader.line_num}: {exc}") from exc
+    return results
+
+
 def write_aggregate_csv(rows, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -459,19 +446,39 @@ def write_aggregate_csv(rows, path):
 def rank_test_from_results(results, metric="top1"):
     """Build the methods x settings score table from trial results: methods
     are encoding+hyperparameter labels, settings are (dr, seed) pairs.
-    Returns None when the table is incomplete or too small."""
+    Returns None when the table is incomplete or too small; two trials in
+    one cell raise ExperimentError."""
     methods = sorted({r.method_label for r in results})
     settings = sorted({(r.dr, r.seed) for r in results})
-    if len(methods) < 2 or len(settings) < 2:
-        return None
+    column = {m: j for j, m in enumerate(methods)}
+    row = {s: i for i, s in enumerate(settings)}
     table = np.full((len(settings), len(methods)), np.nan)
+    cells = set()
     for r in results:
-        i = settings.index((r.dr, r.seed))
-        j = methods.index(r.method_label)
-        table[i, j] = getattr(r, metric)
-    if not np.all(np.isfinite(table)):
+        cell = (r.dr, r.seed, r.method_label)
+        if cell in cells:
+            raise ExperimentError(
+                f"two trials in one rank-table cell (dr={r.dr:g}, seed={r.seed}, "
+                f"method={r.method_label}); configs differ in something other "
+                "than the method")
+        cells.add(cell)
+        table[row[(r.dr, r.seed)], column[r.method_label]] = getattr(r, metric)
+    if len(methods) < 2 or len(settings) < 2 or not np.all(np.isfinite(table)):
         return None
     return friedman_iman_davenport(table, methods)
+
+
+def write_summary(results, out_dir):
+    """Write aggregate.csv, then run the rank test and write rank_report.txt;
+    returns (aggregate rows, rank test or None, the rank report text)."""
+    agg = aggregate(results)
+    write_aggregate_csv(agg, os.path.join(out_dir, "aggregate.csv"))
+    rank = rank_test_from_results(results)
+    text = ("rank test skipped: need >= 2 methods and >= 2 settings "
+            "with a complete score table") if rank is None else rank.report()
+    with open(os.path.join(out_dir, "rank_report.txt"), "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    return agg, rank, text
 
 
 def _run_one(args):
@@ -484,7 +491,9 @@ def run_suite(configs, train, test, sim=None, out_dir=".", jobs=1,
     """Run every (config, seed) trial, write raw and aggregate CSVs plus the
     rank report, and return (results, aggregate rows, rank test or None).
 
-    A failing trial is recorded in errors.log and the suite continues.
+    A failing trial is recorded in errors.log and the suite continues. Two
+    trials in one rank-table cell raise ExperimentError once raw_results.csv
+    and aggregate.csv are written.
     """
     os.makedirs(out_dir, exist_ok=True)
     tasks = [(cfg, seed, train, test, sim, debug_verify)
@@ -504,18 +513,10 @@ def run_suite(configs, train, test, sim=None, out_dir=".", jobs=1,
                 results.append(_run_one(task))
             except Exception as exc:  # keep the suite going
                 errors.append(f"{task[0].config_id} seed={task[1]}: {exc}")
-    flat = _flatten(results)
-    write_raw_csv(flat, os.path.join(out_dir, "raw_results.csv"))
-    agg = aggregate(flat)
-    write_aggregate_csv(agg, os.path.join(out_dir, "aggregate.csv"))
-    rank = rank_test_from_results(flat)
-    with open(os.path.join(out_dir, "rank_report.txt"), "w", encoding="utf-8") as fh:
-        if rank is None:
-            fh.write("rank test skipped: need >= 2 methods and >= 2 settings "
-                     "with a complete score table\n")
-        else:
-            fh.write(rank.report() + "\n")
     if errors:
         with open(os.path.join(out_dir, "errors.log"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(errors) + "\n")
+    flat = _flatten(results)
+    write_raw_csv(flat, os.path.join(out_dir, "raw_results.csv"))
+    agg, rank, _ = write_summary(flat, out_dir)
     return flat, agg, rank

@@ -140,6 +140,13 @@ def kl_divergence(p, q):
     return float(np.sum(p[nz] * np.log(p[nz] / q[nz])))
 
 
+def kl_rows(p, q):
+    """Row-wise KL(p_i || q_i) of (n, C) batches, as kl_divergence per row."""
+    q = np.maximum(q, PROB_FLOOR)
+    # where p is 0 the log argument is 1/q, finite, and its term is 0
+    return np.sum(p * np.log(np.where(p > 0.0, p, 1.0) / q), axis=-1)
+
+
 def dml_pair_losses(pred1, pred2, target1, target2):
     """Per-model mutual-learning losses: own cross-entropy plus a KL mimicry
     term toward the other model's prediction."""
@@ -179,20 +186,13 @@ def gradient(params, batch, lam=0.0):
     if not batch:
         raise ModelError("empty batch")
     xs, ts = _batch_arrays(batch)
-    return gradient_from_arrays(params, xs, ts, lam)
+    return gradient_from_arrays(params, xs, forward(params, xs) - ts, lam)
 
 
-def gradient_from_arrays(params, xs, targets, lam=0.0, extra_logit_error=None):
-    """Backpropagation on dense (n, d) inputs and (n, C) targets.
-
-    extra_logit_error, when given, is added to the per-example softmax error
-    signal (used for mimicry terms whose logit gradient is also pred - ref).
-    """
-    n = xs.shape[0]
-    err = forward(params, xs) - targets  # (n, C)
-    if extra_logit_error is not None:
-        err = err + extra_logit_error
-    err /= n
+def gradient_from_arrays(params, xs, err, lam=0.0):
+    """Backpropagation on dense (n, d) inputs and the (n, C) per-example
+    error at the logits (pred - target for the cross-entropy term)."""
+    err = err / xs.shape[0]
     if params.architecture == "linear":
         gW = xs.T @ err + lam * params.W_out
         gb = err.sum(axis=0)
@@ -246,13 +246,17 @@ def load_checkpoint(path):
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ModelError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
-    architecture = lines[1]
+    if len(lines) % 2:  # magic, architecture, then header/values pairs
+        raise ModelError(f"{path}: truncated checkpoint ({len(lines)} lines)")
     fields = {}
-    i = 2
-    while i + 1 < len(lines) + 1 and i < len(lines):
-        header = lines[i].split()
-        name, shape = header[0], tuple(int(s) for s in header[1:])
-        values = np.array([float(v) for v in lines[i + 1].split()])
-        fields[name] = values.reshape(shape)
-        i += 2
-    return ClassifierParams(architecture=architecture, **fields)
+    for i in range(2, len(lines), 2):
+        try:
+            name, *shape = lines[i].split()
+            values = np.array([float(v) for v in lines[i + 1].split()])
+            fields[name] = values.reshape(tuple(int(s) for s in shape))
+        except ValueError as exc:
+            raise ModelError(f"{path}:{i + 1}: bad parameter entry: {exc}") from exc
+    try:
+        return ClassifierParams(architecture=lines[1], **fields)
+    except TypeError as exc:
+        raise ModelError(f"{path}: wrong parameter set: {exc}") from exc

@@ -1,0 +1,107 @@
+"""`lcl report` shares run's aggregation and rank code; duplicate rank-table
+cells and malformed raw CSVs or checkpoints are typed errors."""
+
+import numpy as np
+import pytest
+
+from lcl import cli, data, experiments as ex, model, similarity as sm
+
+
+@pytest.fixture(scope="module")
+def task():
+    spec = data.SyntheticSpec(2, 2, 6, 8, 10, intra_spread=0.5,
+                              inter_spread=2.0, noise_sigma=0.5, seed=0)
+    train, test, emb = data.generate_synthetic(spec)
+    return train, test, sm.build_cosine_similarity(emb)
+
+
+def config(encoding, **kw):
+    kw.setdefault("epochs", 2)
+    kw.setdefault("batch_size", 8)
+    kw.setdefault("lr", 0.05)
+    kw.setdefault("seeds", (2, 0, 1))
+    return ex.ExperimentConfig(encoding=encoding, **kw)
+
+
+def test_report_reproduces_run_outputs(task, tmp_path):
+    train, test, sim = task
+    configs = [config("SL"), config("LS"), config("LCL", epsilon=0.9),
+               config("KD", kd_temperature=2.0), config("DML")]
+    run_dir, report_dir = tmp_path / "run", tmp_path / "report"
+    _, _, rank = ex.run_suite(configs, train, test, sim=sim, out_dir=str(run_dir))
+    assert set(rank.methods) == {"SL", "LS(alpha=0.1)", "LCL(eps=0.9)", "KD(T=2)",
+                                 "DML1", "DML2"}
+    assert cli.main(["report", str(run_dir / "raw_results.csv"),
+                     "--out-dir", str(report_dir)]) == cli.EXIT_OK
+    for name in ("aggregate.csv", "rank_report.txt"):
+        assert (report_dir / name).read_bytes() == (run_dir / name).read_bytes()
+
+
+def test_raw_csv_roundtrip(task, tmp_path):
+    train, test, _ = task
+    results = ex._flatten([ex.run_trial(config(enc), 0, train, test)
+                           for enc in ("LS", "DML")])
+    path = tmp_path / "raw.csv"
+    ex.write_raw_csv(results, path)
+    key = lambda r: (r.config_id, r.method_label, r.alpha, r.top1, r.final_loss)
+    assert [key(r) for r in ex.read_raw_csv(path)] == sorted(key(r) for r in results)
+
+
+def test_duplicate_cells_are_rejected(task, tmp_path):
+    # 8 trials differing only in epochs would collapse into a 2 x 2 table
+    train, test, _ = task
+    configs = [config(enc, epochs=e, seeds=(0, 1)) for enc in ("SL", "LS") for e in (1, 2)]
+    with pytest.raises(ex.ExperimentError, match=r"dr=1, seed=0, method=SL"):
+        ex.run_suite(configs, train, test, out_dir=str(tmp_path))
+    assert (tmp_path / "raw_results.csv").exists()
+    assert (tmp_path / "aggregate.csv").exists()
+
+
+def test_report_rejects_duplicate_cells(task, tmp_path, capsys):
+    train, test, _ = task
+    ex.run_suite([config("SL"), config("LS")], train, test, out_dir=str(tmp_path))
+    raw = str(tmp_path / "raw_results.csv")
+    assert cli.main(["report", raw, raw, "--out-dir", str(tmp_path / "r")]) \
+        == cli.EXIT_USAGE
+    assert "two trials in one rank-table cell" in capsys.readouterr().err
+
+
+def test_run_rejects_duplicate_cells(tmp_path, capsys):
+    assert cli.main(["gen-data", "--superclusters", "2", "--classes-per-supercluster", "2",
+                     "--dim", "4", "--train-per-class", "4", "--test-per-class", "4",
+                     "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[paths]\ntrain = {tmp_path / 'train.csv'}\n"
+                   f"test = {tmp_path / 'test.csv'}\nout_dir = {tmp_path / 'out'}\n"
+                   "[grid]\nencodings = SL LS\ndrs = 1.0 1.0\nseeds = 0 1\n"
+                   "[training]\nepochs = 1\n")
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_USAGE
+    assert "two trials in one rank-table cell" in capsys.readouterr().err
+
+
+def test_non_numeric_raw_cell_names_path_and_line(task, tmp_path, capsys):
+    train, test, _ = task
+    path = tmp_path / "raw.csv"
+    ex.write_raw_csv([ex.run_trial(config("SL"), s, train, test) for s in (0, 1)], path)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[6] = "oops"  # top1
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ex.ExperimentError, match=rf"{path}:3:"):
+        ex.read_raw_csv(path)
+    assert cli.main(["report", str(path), "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
+    assert f"{path}:3:" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_is_model_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(model.init_params("mlp1", 3, 4, hidden=5, seed=0), path)
+    lines = path.read_text().splitlines()
+    for keep in range(2, len(lines)):
+        path.write_text("\n".join(lines[:keep]) + "\n")
+        with pytest.raises(model.ModelError):
+            model.load_checkpoint(path)
+    path.write_text("\n".join(lines[:-1] + [lines[-1].rsplit(" ", 1)[0]]) + "\n")
+    with pytest.raises(model.ModelError):
+        model.load_checkpoint(path)
