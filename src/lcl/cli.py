@@ -66,6 +66,8 @@ def cmd_verify(args):
     try:
         sim = similarity.load_similarity(args.sim)
         schedule = curriculum.init_targets(sim, args.epsilon)
+    except similarity.SimilarityFileError:
+        raise  # a malformed file is a usage error (exit 2), not a failed check
     except (similarity.SimilarityError, curriculum.CurriculumError) as exc:
         print(f"verification failed before stepping: {exc}")
         return EXIT_FAIL

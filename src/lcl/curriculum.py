@@ -54,18 +54,16 @@ class TargetSchedule:
             raise CurriculumError("targets must be a square matrix")
         if np.any(t < 0.0) or np.max(np.abs(t.sum(axis=1) - 1.0)) > SIMPLEX_TOL:
             raise CurriculumError("every row must be on the probability simplex")
-        for i in range(c):
-            if not _strict_argmax_at(t[i], i):
-                raise CurriculumError(f"row {i}: argmax is not the true class")
+        # each diagonal entry strictly above its row's off-diagonal maximum;
+        # a NaN anywhere in a row fails the comparison
+        off_max = np.where(np.eye(c, dtype=bool), -np.inf, t).max(axis=1)
+        bad = np.flatnonzero(~(np.diag(t) > off_max))
+        if bad.size:
+            raise CurriculumError(f"row {bad[0]}: argmax is not the true class")
 
     @property
     def num_classes(self):
         return self.targets.shape[0]
-
-
-def _strict_argmax_at(row, i):
-    other = np.delete(row, i)
-    return other.size == 0 or row[i] > np.max(other)
 
 
 def init_targets(sim, epsilon):

@@ -34,6 +34,8 @@ class Dataset:
             raise DataError(f"unknown split {self.split!r}")
         if feats.shape[0] != labels.shape[0]:
             raise DataError("feature row count does not match label count")
+        if not np.all(np.isfinite(feats)):
+            raise DataError("non-finite feature entries")
         if labels.size == 0:
             raise DataError("empty dataset")
         if labels.min() < 0 or labels.max() >= self.num_classes:
@@ -94,7 +96,7 @@ def save_dataset(ds, path):
 def load_dataset(path):
     """Read a dataset CSV written by save_dataset."""
     meta = {}
-    labels, rows = [], []
+    labels, rows, linenos = [], [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -114,11 +116,20 @@ def load_dataset(path):
                 rows.append([float(x) for x in parts[1:]])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
+            if len(rows[-1]) != len(rows[0]):
+                raise DataError(f"{path}:{lineno}: {len(rows[-1])} features, "
+                                f"expected {len(rows[0])}")
+            linenos.append(lineno)
     if "classes" not in meta or "split" not in meta:
         raise DataError(f"{path}: missing `# classes=<C> split=<train|test>` metadata")
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return Dataset(features=np.array(rows), labels=np.array(labels),
+    features = np.array(rows)
+    del rows  # the per-row lists outweigh the array; free them before the check
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}:{linenos[bad[0]]}: non-finite feature")
+    return Dataset(features=features, labels=np.array(labels),
                    num_classes=int(meta["classes"]), split=meta["split"])
 
 

@@ -151,7 +151,8 @@ def _train(config, models, xs, targets_at, shuffle_rng):
     """The SGD loop of every encoding. targets_at(epoch) returns the (n, C)
     per-example targets; two models are a DML pair, each also pulled toward
     the other's prediction. Returns the trained models and their per-epoch
-    mean losses."""
+    mean losses. sgd_step does not check finiteness, so a diverged run is
+    caught here: ModelError on a non-finite epoch loss or final parameter."""
     models = list(models)
     histories = [[] for _ in models]
     n = xs.shape[0]
@@ -172,11 +173,18 @@ def _train(config, models, xs, targets_at, shuffle_rng):
                        ces[1] + model.kl_rows(preds[0], preds[1])]
                 errs = [errs[0] + (preds[0] - preds[1]), errs[1] + (preds[1] - preds[0])]
             for m, params in enumerate(models):
-                losses[m].append(float(np.mean(ces[m])) + config.lam * model.regularizer(params))
+                loss = float(np.mean(ces[m]))
+                if config.lam:
+                    loss += config.lam * model.regularizer(params)
+                losses[m].append(loss)
                 grads = model.gradient_from_arrays(params, xb, errs[m], config.lam)
                 models[m] = model.sgd_step(params, grads, lr)
         for history, epoch_losses in zip(histories, losses):
             history.append(float(np.mean(epoch_losses)))
+            if not np.isfinite(history[-1]):
+                raise model.ModelError(f"epoch {epoch + 1}/{config.epochs}: non-finite loss")
+    if not all(params.is_finite() for params in models):
+        raise model.ModelError(f"epoch {config.epochs}/{config.epochs}: non-finite parameters")
     return models, histories
 
 

@@ -37,9 +37,8 @@ class ClassifierParams:
             raise ModelError(f"unknown architecture {self.architecture!r}")
         if self.architecture == "mlp1" and (self.W1 is None or self.b1 is None):
             raise ModelError("mlp1 requires hidden-layer parameters")
-        for arr in self.arrays():
-            if not np.all(np.isfinite(arr)):
-                raise ModelError("non-finite parameter entries")
+        if not self.is_finite():
+            raise ModelError("non-finite parameter entries")
         if self.architecture == "mlp1" and self.W1.shape[1] != self.W_out.shape[0]:
             raise ModelError("hidden width mismatch between W1 and W_out")
         if self.W_out.shape[1] != self.b_out.shape[0]:
@@ -50,6 +49,9 @@ class ClassifierParams:
         if self.architecture == "mlp1":
             out = [self.W1, self.b1] + out
         return out
+
+    def is_finite(self):
+        return all(np.all(np.isfinite(arr)) for arr in self.arrays())
 
     @property
     def num_classes(self):
@@ -209,22 +211,20 @@ def gradient_from_arrays(params, xs, err, lam=0.0):
 
 
 def sgd_step(params, grads, lr):
-    """theta <- theta - lr * g for every parameter array."""
+    """theta <- theta - lr * g for every parameter array. The result skips
+    the ClassifierParams checks: the inputs are checked parameters, and the
+    training loop checks finiteness at epoch and trial boundaries."""
     if grads.architecture != params.architecture:
         raise ModelError("gradient/parameter architecture mismatch")
-    if params.architecture == "linear":
-        return ClassifierParams(
-            architecture="linear",
-            W_out=params.W_out - lr * grads.W_out,
-            b_out=params.b_out - lr * grads.b_out,
-        )
-    return ClassifierParams(
-        architecture="mlp1",
-        W1=params.W1 - lr * grads.W1,
-        b1=params.b1 - lr * grads.b1,
+    out = object.__new__(ClassifierParams)
+    out.__dict__.update(
+        architecture=params.architecture,
         W_out=params.W_out - lr * grads.W_out,
-        b_out=params.b_out - lr * grads.b_out,
-    )
+        b_out=params.b_out - lr * grads.b_out)
+    if params.architecture == "mlp1":
+        out.__dict__.update(W1=params.W1 - lr * grads.W1,
+                            b1=params.b1 - lr * grads.b1)
+    return out
 
 
 def save_checkpoint(params, path):

@@ -15,6 +15,10 @@ class SimilarityError(ValueError):
     """Invalid input to a similarity construction."""
 
 
+class SimilarityFileError(SimilarityError):
+    """Malformed similarity file: empty, non-numeric, ragged or short of rows."""
+
+
 @dataclass(frozen=True)
 class EmbeddingTable:
     """Per-class real vectors, one row per class, in class-index order."""
@@ -285,10 +289,18 @@ def load_similarity(path, source="external"):
         try:
             names = next(reader)
         except StopIteration:
-            raise SimilarityError(f"{path}: empty similarity file") from None
-        rows = [[float(x) for x in row] for row in reader if row]
+            raise SimilarityFileError(f"{path}: empty similarity file") from None
+        rows = []
+        for row in filter(None, reader):
+            try:
+                rows.append([float(x) for x in row])
+            except ValueError as exc:
+                raise SimilarityFileError(f"{path}:{reader.line_num}: {exc}") from exc
+            if len(row) != len(names):
+                raise SimilarityFileError(f"{path}:{reader.line_num}: {len(row)} entries, "
+                                          f"expected {len(names)}")
     if len(rows) != len(names):
-        raise SimilarityError(f"{path}: expected {len(names)} rows, got {len(rows)}")
+        raise SimilarityFileError(f"{path}: expected {len(names)} rows, got {len(rows)}")
     return SimilarityMatrix(entries=np.array(rows), class_names=names, source=source)
 
 
