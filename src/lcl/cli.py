@@ -46,8 +46,7 @@ def cmd_build_sim(args):
                 source="attribute-cosine", clamped_entries=sim.clamped_entries)
     elif args.kind == "hierarchy":
         graph = similarity.load_hierarchy(args.input)
-        sim = similarity.simrank(graph, decay=args.decay, tol=args.tol,
-                                 max_iter=args.max_iter)
+        sim = similarity.simrank(graph, decay=args.decay)
     else:
         raise UsageError(f"unknown similarity kind {args.kind!r}")
     similarity.save_similarity(sim, args.output)
@@ -111,27 +110,15 @@ def load_config_file(path):
         architecture=training.get("architecture", "linear"),
         hidden=int(training.get("hidden", 64)),
     )
-    configs = []
     try:
-        for dr in drs:
-            for enc in encodings:
-                if enc == "LCL":
-                    for eps in epsilons:
-                        configs.append(experiments.ExperimentConfig(
-                            encoding="LCL", epsilon=eps, dr=dr, **common))
-                elif enc == "LS":
-                    configs.append(experiments.ExperimentConfig(
-                        encoding="LS", alpha=float(training.get("alpha", 0.1)),
-                        dr=dr, **common))
-                elif enc == "KD":
-                    configs.append(experiments.ExperimentConfig(
-                        encoding="KD",
-                        kd_temperature=float(training.get("kd_temperature", 1.0)),
-                        dr=dr, **common))
-                else:
-                    configs.append(experiments.ExperimentConfig(
-                        encoding=enc, dr=dr, **common))
-    except experiments.ExperimentError as exc:
+        variants = {  # hyperparameter sets per encoding; the rest take none
+            "LCL": [{"epsilon": eps} for eps in epsilons],
+            "LS": [{"alpha": float(training.get("alpha", 0.1))}],
+            "KD": [{"kd_temperature": float(training.get("kd_temperature", 1.0))}],
+        }
+        configs = [experiments.ExperimentConfig(encoding=enc, dr=dr, **hyper, **common)
+                   for dr in drs for enc in encodings for hyper in variants.get(enc, [{}])]
+    except ValueError as exc:  # a malformed number, or an ExperimentError
         raise UsageError(f"{path}: {exc}") from exc
     if not configs:
         raise UsageError(f"{path}: empty grid")
@@ -224,8 +211,6 @@ def build_parser():
     p.add_argument("--no-clamp", action="store_true",
                    help="error on negative cosines instead of clamping to 0")
     p.add_argument("--decay", type=float, default=0.8)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=100)
     p.set_defaults(func=cmd_build_sim)
 
     p = sub.add_parser("verify", help="check the curriculum axioms")

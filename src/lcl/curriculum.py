@@ -28,7 +28,8 @@ class TargetVector:
         object.__setattr__(self, "probs", p)
         if not 0 <= self.true_class < p.shape[0]:
             raise CurriculumError(f"true_class {self.true_class} out of range")
-        if np.any(p < 0.0) or abs(p.sum() - 1.0) > SIMPLEX_TOL:
+        # written so that a NaN entry fails the test
+        if not (np.all(p >= 0.0) and abs(p.sum() - 1.0) <= SIMPLEX_TOL):
             raise CurriculumError("target vector is not on the probability simplex")
 
 
@@ -52,7 +53,8 @@ class TargetSchedule:
         c = t.shape[0]
         if t.ndim != 2 or t.shape[1] != c:
             raise CurriculumError("targets must be a square matrix")
-        if np.any(t < 0.0) or np.max(np.abs(t.sum(axis=1) - 1.0)) > SIMPLEX_TOL:
+        # written so that a NaN entry fails the test
+        if not (np.all(t >= 0.0) and np.max(np.abs(t.sum(axis=1) - 1.0)) <= SIMPLEX_TOL):
             raise CurriculumError("every row must be on the probability simplex")
         # each diagonal entry strictly above its row's off-diagonal maximum;
         # a NaN anywhere in a row fails the comparison
@@ -206,7 +208,7 @@ def verify_curriculum(schedule, horizon):
         diag = cur[idx, idx]
         entropies[t] = row_entropies(cur)
         resid = np.abs(row_sums - 1.0)
-        bad = (cur < 0.0).any(axis=1) | (resid > SIMPLEX_TOL)
+        bad = ~((cur >= 0.0).all(axis=1) & (resid <= SIMPLEX_TOL))
         for i in np.flatnonzero(bad):
             violations.append(AxiomViolation(
                 "simplex", int(i), t, f"residual {resid[i]:.3g}"))

@@ -299,20 +299,13 @@ def aggregate(results):
 
 
 def _average_ranks(scores):
-    """Ranks within one row: 1 = highest score, ties get the average rank."""
+    """Ranks along the last axis: 1 = highest score, ties get the average
+    rank, (#greater) + (#equal + 1) / 2, which is an exact half."""
     scores = np.asarray(scores, dtype=float)
-    neg = -scores
-    sorter = np.argsort(neg, kind="stable")
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and neg[sorter[j + 1]] == neg[sorter[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        ranks[sorter[i:j + 1]] = avg
-        i = j + 1
-    return ranks
+    other, own = scores[..., None, :], scores[..., :, None]
+    greater = (other > own).sum(axis=-1)
+    equal = (other == own).sum(axis=-1)
+    return greater + (equal + 1) / 2.0
 
 
 @dataclass(frozen=True)
@@ -349,7 +342,7 @@ def friedman_iman_davenport(score_table, method_names=None):
         raise ExperimentError("need at least 2 settings and 2 methods")
     if not np.all(np.isfinite(table)):
         raise ExperimentError("score table has missing entries")
-    ranks = np.vstack([_average_ranks(row) for row in table])
+    ranks = _average_ranks(table)
     avg = ranks.mean(axis=0)
     chi2 = 12.0 * n / (k * (k + 1)) * (np.sum(avg ** 2) - k * (k + 1) ** 2 / 4.0)
     denom = n * (k - 1) - chi2

@@ -4,6 +4,8 @@ simrank over a class hierarchy, and spectral analysis."""
 from __future__ import annotations
 
 import csv
+import graphlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +72,8 @@ class SimilarityMatrix:
         c = len(self.class_names)
         if m.shape != (c, c):
             raise SimilarityError("entries must be square and match class names")
+        if not np.all(np.isfinite(m)):
+            raise SimilarityError("similarity matrix has non-finite entries")
         if not np.array_equal(m, m.T):
             raise SimilarityError("similarity matrix must be exactly symmetric")
         if np.any(m < 0.0) or np.any(m > 1.0):
@@ -97,13 +101,16 @@ class HierarchyGraph:
         object.__setattr__(self, "leaves", tuple(self.leaves))
         if len(set(self.leaves)) != len(self.leaves):
             raise SimilarityError("duplicate leaf class")
-        children = {c for _, c in self.edges}
-        parents = {p for p, _ in self.edges}
+        preds = {}
         for p, c in self.edges:
-            if p == c:
-                raise SimilarityError(f"self-loop at {p!r}")
+            preds.setdefault(c, []).append(p)
+        try:
+            graphlib.TopologicalSorter(preds).prepare()
+        except graphlib.CycleError as exc:  # args[1]: the cycle, parent -> child
+            raise SimilarityError("cycle " + " -> ".join(map(repr, exc.args[1]))) from None
+        parents = {p for p, _ in self.edges}
         for leaf in self.leaves:
-            if leaf not in children:
+            if leaf not in preds:
                 raise SimilarityError(f"leaf {leaf!r} is not reachable from any root")
         if parents & set(self.leaves):
             raise SimilarityError("a declared leaf has children")
@@ -169,7 +176,10 @@ def load_hierarchy(path):
             edges.append((parts[0], parts[1]))
     if leaves is None:
         raise SimilarityError(f"{path}: missing @leaves directive")
-    return HierarchyGraph(edges=edges, leaves=leaves)
+    try:
+        return HierarchyGraph(edges=edges, leaves=leaves)
+    except SimilarityError as exc:
+        raise SimilarityError(f"{path}: {exc}") from exc
 
 
 def cosine(u, v):
@@ -220,45 +230,45 @@ def build_cosine_similarity(table, clamp_negative=True):
     )
 
 
-def simrank(graph, decay=0.8, tol=1e-6, max_iter=100):
-    """Fixed-point simrank over parent (in-neighbor) sets, restricted to the
-    leaf classes. Nodes without parents stay at similarity 0 to everything
-    but themselves."""
+def simrank(graph, decay=0.8):
+    """Simrank (Jeh & Widom, 2002) over parent (in-neighbor) sets, restricted
+    to the leaf classes: the fixed point of S = decay * P S P^T off the
+    diagonal and 1 on it, where P averages over a node's parents. Nodes
+    without parents stay at similarity 0 to everything but themselves.
+
+    Sweeps start from S = I. The graph is acyclic, so a pair's value is final
+    one sweep after its parents' pairs are: the fixed point is reached
+    exactly within longest-path + 1 sweeps, and the loop stops at the first
+    sweep that leaves S bitwise unchanged. Work and memory per sweep grow
+    with the square of the edge count."""
     if not 0.0 < decay < 1.0:
         raise SimilarityError("decay must lie in (0, 1)")
     nodes = graph.nodes
     index = {n: i for i, n in enumerate(nodes)}
     n = len(nodes)
-    parents = [np.array([index[p] for p in graph.parents_of(node)], dtype=int)
-               for node in nodes]
+    parent, child = np.array([(index[p], index[c]) for p, c in graph.edges],
+                             dtype=np.intp).reshape(-1, 2).T
+    # Each edge pair (p -> a, q -> b) with a < b adds S[p, q] to the sum for
+    # (a, b). np.nonzero walks the pairs row-major in edge order, so each sum
+    # runs over parents(a) x parents(b) row by row; the lower triangle is the
+    # mirror of the upper, so S stays exactly symmetric.
+    e1, e2 = np.nonzero(child[:, None] < child[None, :])
+    src = parent[e1] * n + parent[e2]
+    dst = child[e1] * n + child[e2]
+    counts = np.bincount(child, minlength=n)
+    pair_counts = np.maximum(np.outer(counts, counts), 1)
     s = np.eye(n)
-    residual = np.inf
-    for _ in range(max_iter):
-        new = np.eye(n)
-        for a in range(n):
-            pa = parents[a]
-            if pa.size == 0:
-                continue
-            for b in range(a + 1, n):
-                pb = parents[b]
-                if pb.size == 0:
-                    continue
-                val = decay * s[np.ix_(pa, pb)].sum() / (pa.size * pb.size)
-                new[a, b] = new[b, a] = val
-        residual = float(np.max(np.abs(new - s)))
-        s = new
-        if residual < tol:
+    while True:
+        sums = np.bincount(dst, weights=s.ravel()[src], minlength=n * n)
+        upper = decay * sums.reshape(n, n) / pair_counts
+        new = upper + upper.T
+        np.fill_diagonal(new, 1.0)
+        if np.array_equal(new, s):
             break
-    else:
-        raise SimilarityError(
-            f"simrank did not converge in {max_iter} iterations (residual {residual:.3g})"
-        )
+        s = new
     leaf_idx = [index[leaf] for leaf in graph.leaves]
-    m = s[np.ix_(leaf_idx, leaf_idx)].copy()
-    np.fill_diagonal(m, 1.0)
-    m = np.triu(m, 1)
-    m = m + m.T + np.eye(len(leaf_idx))
-    return SimilarityMatrix(entries=m, class_names=graph.leaves, source="simrank")
+    return SimilarityMatrix(entries=s[np.ix_(leaf_idx, leaf_idx)],
+                            class_names=graph.leaves, source="simrank")
 
 
 def eigenspectrum(sim):
@@ -293,9 +303,14 @@ def load_similarity(path, source="external"):
         rows = []
         for row in filter(None, reader):
             try:
-                rows.append([float(x) for x in row])
+                values = [float(x) for x in row]
             except ValueError as exc:
                 raise SimilarityFileError(f"{path}:{reader.line_num}: {exc}") from exc
+            bad = [x for x, v in zip(row, values) if not math.isfinite(v)]
+            if bad:
+                raise SimilarityFileError(f"{path}:{reader.line_num}: "
+                                          f"non-finite entry {bad[0]!r}")
+            rows.append(values)
             if len(row) != len(names):
                 raise SimilarityFileError(f"{path}:{reader.line_num}: {len(row)} entries, "
                                           f"expected {len(names)}")
