@@ -1,14 +1,15 @@
 """Command-line surface: build similarity matrices, verify curricula, run
 experiment suites, aggregate reports, and generate synthetic data.
 
-Exit codes: 0 success, 1 verification/statistical failure, 2 usage or
-input error.
+Exit codes: 0 success, 1 verification/statistical failure or a failed
+trial in `run`, 2 usage or input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 
@@ -75,8 +76,15 @@ def cmd_verify(args):
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_floats(text):
-    return [float(x) for x in text.replace(",", " ").split()]
+    return [_finite(x) for x in text.replace(",", " ").split()]
 
 
 def _parse_ints(text):
@@ -96,28 +104,30 @@ def load_config_file(path):
     training = parser["training"] if "training" in parser else {}
 
     encodings = grid.get("encodings", "SL").split()
-    epsilons = _parse_floats(grid.get("epsilons", "0.9 0.99 0.999"))
-    drs = _parse_floats(grid.get("drs", "1.0"))
-    seeds = tuple(_parse_ints(grid.get("seeds", "0 1 2 3")))
-
-    common = dict(
-        seeds=seeds,
-        epochs=int(training.get("epochs", 30)),
-        batch_size=int(training.get("batch_size", 16)),
-        lr=float(training.get("lr", 0.1)),
-        lr_decay=float(training.get("lr_decay", 1.0)),
-        lam=float(training.get("lambda", 1e-4)),
-        architecture=training.get("architecture", "linear"),
-        hidden=int(training.get("hidden", 64)),
-    )
     try:
+        epsilons = _parse_floats(grid.get("epsilons", "0.9 0.99 0.999"))
+        drs = _parse_floats(grid.get("drs", "1.0"))
+        common = dict(
+            seeds=tuple(_parse_ints(grid.get("seeds", "0 1 2 3"))),
+            epochs=int(training.get("epochs", 30)),
+            batch_size=int(training.get("batch_size", 16)),
+            lr=_finite(training.get("lr", 0.1)),
+            lr_decay=_finite(training.get("lr_decay", 1.0)),
+            lam=_finite(training.get("lambda", 1e-4)),
+            architecture=training.get("architecture", "linear"),
+            hidden=int(training.get("hidden", 64)),
+        )
         variants = {  # hyperparameter sets per encoding; the rest take none
             "LCL": [{"epsilon": eps} for eps in epsilons],
-            "LS": [{"alpha": float(training.get("alpha", 0.1))}],
-            "KD": [{"kd_temperature": float(training.get("kd_temperature", 1.0))}],
+            "LS": [{"alpha": _finite(training.get("alpha", 0.1))}],
+            "KD": [{"kd_temperature": _finite(training.get("kd_temperature", 1.0))}],
         }
         configs = [experiments.ExperimentConfig(encoding=enc, dr=dr, **hyper, **common)
                    for dr in drs for enc in encodings for hyper in variants.get(enc, [{}])]
+        # checked before any training, not after the whole grid has run
+        experiments.check_rank_cells(((c.dr, seed, c.method_label)
+                                      for c in configs for seed in c.seeds),
+                                     cause="[grid] repeats a value")
     except ValueError as exc:  # a malformed number, or an ExperimentError
         raise UsageError(f"{path}: {exc}") from exc
     if not configs:
@@ -153,6 +163,12 @@ def cmd_run(args):
               f"{row.top1_mean:>8.4f} {row.top1_std:>8.4f} {row.top5_mean:>8.4f}")
     if rank is not None:
         print(rank.report())
+    done = {(r.config_id, r.seed) for r in results}
+    failed = sum((c.config_id, seed) not in done for c in configs for seed in c.seeds)
+    if failed:
+        print(f"error: {failed} of {sum(len(c.seeds) for c in configs)} trials failed; "
+              f"see {os.path.join(out_dir, 'errors.log')}", file=sys.stderr)
+        return EXIT_FAIL
     return EXIT_OK
 
 

@@ -199,9 +199,12 @@ def verify_curriculum(schedule, horizon):
     cur = schedule.targets.copy()
 
     def row_entropies(mat):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h = np.where(mat > 0.0, -mat * np.log(np.where(mat > 0.0, mat, 1.0)), 0.0)
-        return h.sum(axis=1)
+        # 0 ln 0 = 0, and so are the terms of negative and NaN entries;
+        # 0.0 - sum keeps a one-hot row's entropy at +0.0
+        safe = np.where(mat > 0.0, mat, 1.0)
+        terms = np.log(safe)
+        terms *= safe
+        return 0.0 - terms.sum(axis=1)
 
     for t in range(horizon + 1):
         row_sums = cur.sum(axis=1)

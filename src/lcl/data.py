@@ -5,6 +5,7 @@ curriculum structure to exploit."""
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,16 +86,52 @@ class SyntheticSpec:
 
 def save_dataset(ds, path):
     """CSV with a `# classes=<C> split=<split>` metadata line and a
-    `label,f1,...,fd` header."""
+    `label,f1,...,fd` header. Features are written with 17 significant
+    digits, which load_dataset reads back exactly."""
+    row_format = "%d" + ",%.17g" * ds.dim + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# classes={ds.num_classes} split={ds.split}\n")
         fh.write("label," + ",".join(f"f{i + 1}" for i in range(ds.dim)) + "\n")
-        for label, row in zip(ds.labels, ds.features):
-            fh.write(str(int(label)) + "," + ",".join(repr(float(x)) for x in row) + "\n")
+        # row by row: the whole matrix as Python floats would outweigh the file
+        fh.writelines(row_format % (label, *row.tolist())
+                      for label, row in zip(ds.labels.tolist(), ds.features))
 
 
-def load_dataset(path):
-    """Read a dataset CSV written by save_dataset."""
+def _read_metadata(line, meta):
+    for item in line.lstrip("#").split():
+        if "=" in item:
+            k, v = item.split("=", 1)
+            meta[k] = v
+
+
+def _parse_fast(fh):
+    """(metadata, labels, features) of a file in save_dataset's layout, read
+    by numpy's C parser. None for any other layout, for any entry the parser
+    rejects or warns about, and for a non-finite feature: the Python parser
+    then reads the file and names the line at fault."""
+    meta = {}
+    first, header = fh.readline(), fh.readline()
+    if not (first.startswith("#") and header.startswith("label,")):
+        return None
+    _read_metadata(first, meta)
+    if "classes" not in meta or "split" not in meta:
+        return None
+    dtype = [("label", np.int64), ("x", np.float64, (header.strip().count(","),))]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data", float labels
+            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    features = np.ascontiguousarray(rows["x"])
+    if not np.isfinite(features).all():
+        return None
+    return meta, rows["label"].copy(), features
+
+
+def _parse_python(path):
+    """Line by line: `#` and blank lines may appear anywhere, and the first
+    malformed entry is reported at path:line."""
     meta = {}
     labels, rows, linenos = [], [], []
     with open(path, encoding="utf-8") as fh:
@@ -103,10 +140,7 @@ def load_dataset(path):
             if not line:
                 continue
             if line.startswith("#"):
-                for item in line.lstrip("#").split():
-                    if "=" in item:
-                        k, v = item.split("=", 1)
-                        meta[k] = v
+                _read_metadata(line, meta)
                 continue
             if line.startswith("label,"):
                 continue
@@ -129,7 +163,17 @@ def load_dataset(path):
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise DataError(f"{path}:{linenos[bad[0]]}: non-finite feature")
-    return Dataset(features=features, labels=np.array(labels),
+    return meta, np.array(labels), features
+
+
+def load_dataset(path):
+    """Read a dataset CSV written by save_dataset. A file in its layout is
+    parsed by numpy's C parser; any other file, or one that parser rejects,
+    by the Python parser, which reports malformed entries at path:line."""
+    with open(path, encoding="utf-8") as fh:
+        parsed = _parse_fast(fh)
+    meta, labels, features = parsed or _parse_python(path)
+    return Dataset(features=features, labels=labels,
                    num_classes=int(meta["classes"]), split=meta["split"])
 
 

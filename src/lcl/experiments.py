@@ -4,6 +4,7 @@ aggregation over seeds, and the rank-based significance test."""
 from __future__ import annotations
 
 import csv
+import math
 import os
 import re
 import time
@@ -69,10 +70,25 @@ class ExperimentConfig:
             raise ExperimentError("alpha applies to LS only")
         if self.kd_temperature is not None and self.encoding != "KD":
             raise ExperimentError("kd_temperature applies to KD only")
+        # every range test is written so that NaN fails it; lr alone may be
+        # +inf, a one-step divergence that the training loop's final check
+        # reports (a config file admits finite numbers only)
+        if not 0.0 <= self.effective_alpha <= 1.0:
+            raise ExperimentError("alpha must lie in [0, 1]")
+        if not 0.0 < self.effective_temperature < math.inf:
+            raise ExperimentError("kd_temperature must be finite and > 0")
         if not 0.0 < self.dr <= 1.0:
             raise ExperimentError("dr must lie in (0, 1]")
-        if self.epochs < 1:
-            raise ExperimentError("epochs must be >= 1")
+        if not self.lr > 0.0:
+            raise ExperimentError("lr must be > 0")
+        if not 0.0 < self.lr_decay < math.inf:
+            raise ExperimentError("lr_decay must be finite and > 0")
+        if not 0.0 <= self.lam < math.inf:
+            raise ExperimentError("lam must be finite and >= 0")
+        if min(self.epochs, self.batch_size, self.hidden) < 1:
+            raise ExperimentError("epochs, batch_size and hidden must be >= 1")
+        if self.architecture not in model.ARCHITECTURES:
+            raise ExperimentError(f"unknown architecture {self.architecture!r}")
         if not self.seeds:
             raise ExperimentError("at least one seed is required")
 
@@ -130,10 +146,17 @@ def topk_accuracy(pred_probs, labels, k):
         raise ExperimentError("need a nonempty batch of prediction vectors")
     if not 1 <= k <= probs.shape[1]:
         raise ExperimentError(f"k={k} out of range for C={probs.shape[1]}")
-    # stable sort on negated probs puts the lower index first among ties
-    order = np.argsort(-probs, axis=1, kind="stable")[:, :k]
-    hits = (order == labels[:, None]).any(axis=1)
-    return float(np.mean(hits))
+    if labels.shape != probs.shape[:1] or labels.min() < 0 or labels.max() >= probs.shape[1]:
+        raise ExperimentError(f"need one label in [0, {probs.shape[1]}) per row")
+    # NaN has no place in the order below, so non-finite entries are rejected
+    if not np.isfinite(probs).all():
+        raise ExperimentError("non-finite prediction entries")
+    # the true class's 0-based rank in the order a stable argsort of -probs
+    # gives: #greater plus #equal at a lower index
+    true = probs[np.arange(probs.shape[0]), labels][:, None]
+    lower = np.arange(probs.shape[1]) < labels[:, None]
+    rank = (probs > true).sum(axis=1) + ((probs == true) & lower).sum(axis=1)
+    return float(np.mean(rank < k))
 
 
 def _rng_streams(seed):
@@ -444,25 +467,30 @@ def write_aggregate_csv(rows, path):
                         repr(r.top5_mean), repr(r.top5_std)])
 
 
+def check_rank_cells(cells, cause="configs differ in something other than the method"):
+    """Raise ExperimentError naming the first (dr, seed, method label) cell
+    of the rank table that occurs twice."""
+    seen = set()
+    for cell in cells:
+        if cell in seen:
+            dr, seed, method = cell
+            raise ExperimentError(f"two trials in one rank-table cell (dr={dr:g}, "
+                                  f"seed={seed}, method={method}); {cause}")
+        seen.add(cell)
+
+
 def rank_test_from_results(results, metric="top1"):
     """Build the methods x settings score table from trial results: methods
     are encoding+hyperparameter labels, settings are (dr, seed) pairs.
     Returns None when the table is incomplete or too small; two trials in
     one cell raise ExperimentError."""
+    check_rank_cells((r.dr, r.seed, r.method_label) for r in results)
     methods = sorted({r.method_label for r in results})
     settings = sorted({(r.dr, r.seed) for r in results})
     column = {m: j for j, m in enumerate(methods)}
     row = {s: i for i, s in enumerate(settings)}
     table = np.full((len(settings), len(methods)), np.nan)
-    cells = set()
     for r in results:
-        cell = (r.dr, r.seed, r.method_label)
-        if cell in cells:
-            raise ExperimentError(
-                f"two trials in one rank-table cell (dr={r.dr:g}, seed={r.seed}, "
-                f"method={r.method_label}); configs differ in something other "
-                "than the method")
-        cells.add(cell)
         table[row[(r.dr, r.seed)], column[r.method_label]] = getattr(r, metric)
     if len(methods) < 2 or len(settings) < 2 or not np.all(np.isfinite(table)):
         return None
@@ -492,11 +520,15 @@ def run_suite(configs, train, test, sim=None, out_dir=".", jobs=1,
     """Run every (config, seed) trial, write raw and aggregate CSVs plus the
     rank report, and return (results, aggregate rows, rank test or None).
 
-    A failing trial is recorded in errors.log and the suite continues. Two
+    A failing trial is recorded in errors.log and the suite continues; an
+    errors.log left in out_dir by an earlier run is removed first. Two
     trials in one rank-table cell raise ExperimentError once raw_results.csv
     and aggregate.csv are written.
     """
     os.makedirs(out_dir, exist_ok=True)
+    errors_path = os.path.join(out_dir, "errors.log")
+    if os.path.exists(errors_path):
+        os.remove(errors_path)
     tasks = [(cfg, seed, train, test, sim, debug_verify)
              for cfg in configs for seed in cfg.seeds]
     results, errors = [], []
@@ -515,7 +547,7 @@ def run_suite(configs, train, test, sim=None, out_dir=".", jobs=1,
             except Exception as exc:  # keep the suite going
                 errors.append(f"{task[0].config_id} seed={task[1]}: {exc}")
     if errors:
-        with open(os.path.join(out_dir, "errors.log"), "w", encoding="utf-8") as fh:
+        with open(errors_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(errors) + "\n")
     flat = _flatten(results)
     write_raw_csv(flat, os.path.join(out_dir, "raw_results.csv"))

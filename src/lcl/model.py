@@ -12,6 +12,7 @@ from .curriculum import TargetVector
 
 PROB_FLOOR = 1e-12
 CHECKPOINT_MAGIC = "LCLM1"
+ARCHITECTURES = ("linear", "mlp1")
 
 
 class ModelError(ValueError):
@@ -33,7 +34,7 @@ class ClassifierParams:
     b1: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.architecture not in ("linear", "mlp1"):
+        if self.architecture not in ARCHITECTURES:
             raise ModelError(f"unknown architecture {self.architecture!r}")
         if self.architecture == "mlp1" and (self.W1 is None or self.b1 is None):
             raise ModelError("mlp1 requires hidden-layer parameters")
