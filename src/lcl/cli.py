@@ -152,10 +152,14 @@ def cmd_run(args):
         if not os.path.exists(paths["similarity"]):
             raise UsageError(f"missing similarity file: {paths['similarity']}")
         sim = similarity.load_similarity(paths["similarity"])
+    inputs = [paths["train"], paths["test"]] + ([paths["similarity"]] if needs_sim else [])
+    try:  # once for the whole grid, before any training
+        experiments.check_inputs(configs, train, test, sim)
+    except experiments.ExperimentError as exc:
+        raise UsageError(f"{', '.join(inputs)}: {exc}") from exc
     out_dir = args.out_dir or paths.get("out_dir", "results")
-    results, agg, rank = experiments.run_suite(
-        configs, train, test, sim=sim, out_dir=out_dir, jobs=args.jobs,
-        debug_verify=args.debug_verify_curriculum)
+    results, agg, rank = experiments.run_suite(configs, train, test, sim=sim,
+                                               out_dir=out_dir, jobs=args.jobs)
     print(f"{len(results)} trials -> {out_dir}/raw_results.csv")
     print(f"{'config_id':<44s} {'n':>2s} {'top1':>8s} {'std':>8s} {'top5':>8s}")
     for row in agg:
@@ -239,7 +243,6 @@ def build_parser():
     p.add_argument("config", help="key=value config file")
     p.add_argument("--out-dir", default=None)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--debug-verify-curriculum", action="store_true")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", help="aggregate raw CSVs and run the rank test")

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -218,18 +219,26 @@ def _evaluate(params, test):
             topk_accuracy(preds, test.labels, k5))
 
 
+def check_inputs(configs, train, test, sim=None):
+    """Raise ExperimentError unless every config can train on train, be
+    scored on test and, for LCL, take its targets from sim."""
+    if sim is None and any(c.encoding == "LCL" for c in configs):
+        raise ExperimentError("LCL requires a similarity matrix")
+    if train.dim != test.dim or train.num_classes != test.num_classes:
+        raise ExperimentError(f"train/test mismatch: {train.dim} vs {test.dim} features, "
+                              f"{train.num_classes} vs {test.num_classes} classes")
+    if sim is not None and sim.num_classes != train.num_classes:
+        raise ExperimentError(f"similarity has {sim.num_classes} classes, "
+                              f"the data {train.num_classes}")
+
+
 def run_trial(config, seed, train, test, sim=None, debug_verify=False):
     """One deterministic training run for the config's encoding.
 
     The seed controls subsampling, initialization, and batch shuffling
     identically across encodings, so method comparisons are paired.
     """
-    if config.encoding == "LCL" and sim is None:
-        raise ExperimentError("LCL requires a similarity matrix")
-    if train.dim != test.dim or train.num_classes != test.num_classes:
-        raise ExperimentError("train/test dimension or class-count mismatch")
-    if sim is not None and sim.num_classes != train.num_classes:
-        raise ExperimentError("similarity class count does not match the data")
+    check_inputs((config,), train, test, sim)
     t_start = time.perf_counter()
     streams = _rng_streams(seed)
     if config.dr < 1.0:
@@ -503,20 +512,25 @@ def write_summary(results, out_dir):
     agg = aggregate(results)
     write_aggregate_csv(agg, os.path.join(out_dir, "aggregate.csv"))
     rank = rank_test_from_results(results)
-    text = ("rank test skipped: need >= 2 methods and >= 2 settings "
-            "with a complete score table") if rank is None else rank.report()
+    if rank is None:  # name each method that lost trials, if any did
+        n = len({(r.dr, r.seed) for r in results})
+        short = sorted((m, k) for m, k in Counter(r.method_label for r in results).items()
+                       if k < n)
+        text = "\n".join(["rank test skipped: need >= 2 methods and >= 2 settings "
+                          "with a complete score table"]
+                         + [f"  {m} has {k} of {n} settings" for m, k in short])
+    else:
+        text = rank.report()
     with open(os.path.join(out_dir, "rank_report.txt"), "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     return agg, rank, text
 
 
 def _run_one(args):
-    config, seed, train, test, sim, debug = args
-    return run_trial(config, seed, train, test, sim, debug_verify=debug)
+    return run_trial(*args)
 
 
-def run_suite(configs, train, test, sim=None, out_dir=".", jobs=1,
-              debug_verify=False):
+def run_suite(configs, train, test, sim=None, out_dir=".", jobs=1):
     """Run every (config, seed) trial, write raw and aggregate CSVs plus the
     rank report, and return (results, aggregate rows, rank test or None).
 
@@ -529,8 +543,7 @@ def run_suite(configs, train, test, sim=None, out_dir=".", jobs=1,
     errors_path = os.path.join(out_dir, "errors.log")
     if os.path.exists(errors_path):
         os.remove(errors_path)
-    tasks = [(cfg, seed, train, test, sim, debug_verify)
-             for cfg in configs for seed in cfg.seeds]
+    tasks = [(cfg, seed, train, test, sim) for cfg in configs for seed in cfg.seeds]
     results, errors = [], []
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -12,7 +12,10 @@ from .curriculum import TargetVector
 
 PROB_FLOOR = 1e-12
 CHECKPOINT_MAGIC = "LCLM1"
-ARCHITECTURES = ("linear", "mlp1")
+# each architecture's parameter arrays, input layer first, as (weight, bias)
+# pairs; arrays(), checkpoints and every constructor follow this order
+LAYOUT = {"linear": ("W_out", "b_out"), "mlp1": ("W1", "b1", "W_out", "b_out")}
+ARCHITECTURES = tuple(LAYOUT)
 
 
 class ModelError(ValueError):
@@ -21,7 +24,8 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class ClassifierParams:
-    """Parameters of a softmax-output classifier.
+    """Parameters of a softmax-output classifier, or an objective gradient
+    shape-matched to them (GradientBundle is the same type).
 
     architecture "linear": W_out (d, C), b_out (C,), W1/b1 unused (None).
     architecture "mlp1": W1 (d, h), b1 (h,), W_out (h, C), b_out (C,).
@@ -34,10 +38,11 @@ class ClassifierParams:
     b1: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
+        if self.architecture not in LAYOUT:
             raise ModelError(f"unknown architecture {self.architecture!r}")
-        if self.architecture == "mlp1" and (self.W1 is None or self.b1 is None):
-            raise ModelError("mlp1 requires hidden-layer parameters")
+        missing = [name for name in LAYOUT[self.architecture] if getattr(self, name) is None]
+        if missing:
+            raise ModelError(f"{self.architecture} requires {', '.join(missing)}")
         if not self.is_finite():
             raise ModelError("non-finite parameter entries")
         if self.architecture == "mlp1" and self.W1.shape[1] != self.W_out.shape[0]:
@@ -46,10 +51,7 @@ class ClassifierParams:
             raise ModelError("W_out / b_out class-count mismatch")
 
     def arrays(self):
-        out = [self.W_out, self.b_out]
-        if self.architecture == "mlp1":
-            out = [self.W1, self.b1] + out
-        return out
+        return [getattr(self, name) for name in LAYOUT[self.architecture]]
 
     def is_finite(self):
         return all(np.all(np.isfinite(arr)) for arr in self.arrays())
@@ -58,56 +60,37 @@ class ClassifierParams:
     def num_classes(self):
         return self.b_out.shape[0]
 
-    @property
-    def input_dim(self):
-        return self.W1.shape[0] if self.architecture == "mlp1" else self.W_out.shape[0]
+
+GradientBundle = ClassifierParams
 
 
-@dataclass(frozen=True)
-class GradientBundle:
-    """Objective gradient, shape-matched to its ClassifierParams."""
-
-    architecture: str
-    W_out: np.ndarray
-    b_out: np.ndarray
-    W1: np.ndarray | None = None
-    b1: np.ndarray | None = None
-
-    def arrays(self):
-        out = [self.W_out, self.b_out]
-        if self.architecture == "mlp1":
-            out = [self.W1, self.b1] + out
-        return out
+def _unchecked(architecture, arrays):
+    """ClassifierParams from arrays in LAYOUT order, skipping the constructor's
+    checks: for results computed from checked parameters, whose finiteness the
+    training loop checks at epoch and trial boundaries."""
+    out = object.__new__(ClassifierParams)
+    out.__dict__.update(zip(LAYOUT[architecture], arrays), architecture=architecture)
+    return out
 
 
 def init_params(architecture, input_dim, num_classes, hidden=64, seed=0):
-    """Glorot-uniform weights, zero biases, deterministic per seed."""
+    """Glorot-uniform weights, zero biases, deterministic per seed; weights
+    are drawn input layer first."""
+    if architecture not in LAYOUT:
+        raise ModelError(f"unknown architecture {architecture!r}")
     rng = np.random.default_rng(seed)
-
-    def glorot(fan_in, fan_out):
+    names = LAYOUT[architecture]
+    widths = [input_dim] + [hidden] * (len(names) // 2 - 1) + [num_classes]
+    arrays = []
+    for fan_in, fan_out in zip(widths, widths[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-    if architecture == "linear":
-        return ClassifierParams(
-            architecture="linear",
-            W_out=glorot(input_dim, num_classes),
-            b_out=np.zeros(num_classes),
-        )
-    if architecture == "mlp1":
-        return ClassifierParams(
-            architecture="mlp1",
-            W1=glorot(input_dim, hidden),
-            b1=np.zeros(hidden),
-            W_out=glorot(hidden, num_classes),
-            b_out=np.zeros(num_classes),
-        )
-    raise ModelError(f"unknown architecture {architecture!r}")
+        arrays += [rng.uniform(-limit, limit, size=(fan_in, fan_out)), np.zeros(fan_out)]
+    return ClassifierParams(architecture=architecture, **dict(zip(names, arrays)))
 
 
 def _softmax(logits):
     # max-subtraction keeps exp() in range
-    z = logits - np.max(logits, axis=-1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -115,7 +98,7 @@ def _softmax(logits):
 def logits(params, x):
     """Pre-softmax outputs; x may be a single d-vector or an (n, d) batch."""
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ModelError("non-finite input")
     if params.architecture == "linear":
         return x @ params.W_out + params.b_out
@@ -197,46 +180,29 @@ def gradient_from_arrays(params, xs, err, lam=0.0):
     error at the logits (pred - target for the cross-entropy term)."""
     err = err / xs.shape[0]
     if params.architecture == "linear":
-        gW = xs.T @ err + lam * params.W_out
-        gb = err.sum(axis=0)
-        return GradientBundle(architecture="linear", W_out=gW, b_out=gb)
+        return _unchecked("linear", (xs.T @ err + lam * params.W_out, err.sum(axis=0)))
     pre = xs @ params.W1 + params.b1
     hidden = np.maximum(pre, 0.0)
-    gW_out = hidden.T @ err + lam * params.W_out
-    gb_out = err.sum(axis=0)
     back = (err @ params.W_out.T) * (pre > 0.0)
-    gW1 = xs.T @ back + lam * params.W1
-    gb1 = back.sum(axis=0)
-    return GradientBundle(architecture="mlp1", W1=gW1, b1=gb1,
-                          W_out=gW_out, b_out=gb_out)
+    return _unchecked("mlp1", (xs.T @ back + lam * params.W1, back.sum(axis=0),
+                               hidden.T @ err + lam * params.W_out, err.sum(axis=0)))
 
 
 def sgd_step(params, grads, lr):
-    """theta <- theta - lr * g for every parameter array. The result skips
-    the ClassifierParams checks: the inputs are checked parameters, and the
-    training loop checks finiteness at epoch and trial boundaries."""
+    """theta <- theta - lr * g for every parameter array. Like the gradient,
+    the result skips the ClassifierParams checks."""
     if grads.architecture != params.architecture:
         raise ModelError("gradient/parameter architecture mismatch")
-    out = object.__new__(ClassifierParams)
-    out.__dict__.update(
-        architecture=params.architecture,
-        W_out=params.W_out - lr * grads.W_out,
-        b_out=params.b_out - lr * grads.b_out)
-    if params.architecture == "mlp1":
-        out.__dict__.update(W1=params.W1 - lr * grads.W1,
-                            b1=params.b1 - lr * grads.b1)
-    return out
+    return _unchecked(params.architecture, [getattr(params, name) - lr * getattr(grads, name)
+                                            for name in LAYOUT[params.architecture]])
 
 
 def save_checkpoint(params, path):
     """Text checkpoint: magic line, architecture, then one `name shape...`
     header plus flat values per parameter array."""
-    names = ["W1", "b1", "W_out", "b_out"] if params.architecture == "mlp1" \
-        else ["W_out", "b_out"]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{CHECKPOINT_MAGIC}\n{params.architecture}\n")
-        for name in names:
-            arr = getattr(params, name)
+        for name, arr in zip(LAYOUT[params.architecture], params.arrays()):
             shape = " ".join(str(s) for s in arr.shape)
             fh.write(f"{name} {shape}\n")
             fh.write(" ".join(repr(float(v)) for v in arr.ravel()) + "\n")
