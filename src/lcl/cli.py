@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import math
 import os
 import sys
@@ -35,21 +36,14 @@ def _effective_rank(eigvals):
 
 
 def cmd_build_sim(args):
-    if not os.path.exists(args.input):
-        raise UsageError(f"input file not found: {args.input}")
-    if args.kind in ("embedding", "attribute"):
+    if args.kind == "hierarchy":
+        sim = similarity.simrank(similarity.load_hierarchy(args.input), decay=args.decay)
+    else:  # embedding or attribute
         table = similarity.load_embeddings(args.input, expected_dim=args.dim)
         sim = similarity.build_cosine_similarity(table,
                                                  clamp_negative=not args.no_clamp)
         if args.kind == "attribute":
-            sim = similarity.SimilarityMatrix(
-                entries=sim.entries, class_names=sim.class_names,
-                source="attribute-cosine", clamped_entries=sim.clamped_entries)
-    elif args.kind == "hierarchy":
-        graph = similarity.load_hierarchy(args.input)
-        sim = similarity.simrank(graph, decay=args.decay)
-    else:
-        raise UsageError(f"unknown similarity kind {args.kind!r}")
+            sim = dataclasses.replace(sim, source="attribute-cosine")
     similarity.save_similarity(sim, args.output)
     spectrum = similarity.eigenspectrum(sim)
     top5 = ", ".join(f"{v:.6f}" for v in spectrum[:5])
@@ -61,8 +55,6 @@ def cmd_build_sim(args):
 
 
 def cmd_verify(args):
-    if not os.path.exists(args.sim):
-        raise UsageError(f"similarity file not found: {args.sim}")
     try:
         sim = similarity.load_similarity(args.sim)
         schedule = curriculum.init_targets(sim, args.epsilon)
@@ -83,53 +75,57 @@ def _finite(text):
     return value
 
 
-def _parse_floats(text):
-    return [_finite(x) for x in text.replace(",", " ").split()]
+def _parse_list(text, parse=_finite):
+    return [parse(x) for x in text.replace(",", " ").split()]
 
 
-def _parse_ints(text):
-    return [int(x) for x in text.replace(",", " ").split()]
+# [training] key -> (ExperimentConfig field, parser); a key left out is not
+# passed, so ExperimentConfig holds the one copy of each default
+TRAINING_KEYS = {"epochs": ("epochs", int), "batch_size": ("batch_size", int),
+                 "lr": ("lr", _finite), "lr_decay": ("lr_decay", _finite),
+                 "lambda": ("lam", _finite), "architecture": ("architecture", str),
+                 "hidden": ("hidden", int), "alpha": ("alpha", _finite),
+                 "kd_temperature": ("kd_temperature", _finite)}
+CONFIG_KEYS = {"paths": ("train", "test", "similarity", "out_dir"),
+               "grid": ("encodings", "epsilons", "drs", "seeds"),
+               "training": tuple(TRAINING_KEYS)}
 
 
 def load_config_file(path):
     """Parse the key=value experiment config into (configs, paths dict)."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise UsageError(f"config file not found: {path}")
-    if "paths" not in parser or "grid" not in parser:
-        raise UsageError(f"{path}: need [paths] and [grid] sections")
-    paths = dict(parser["paths"])
-    grid = parser["grid"]
-    training = parser["training"] if "training" in parser else {}
-
-    encodings = grid.get("encodings", "SL").split()
     try:
-        epsilons = _parse_floats(grid.get("epsilons", "0.9 0.99 0.999"))
-        drs = _parse_floats(grid.get("drs", "1.0"))
-        common = dict(
-            seeds=tuple(_parse_ints(grid.get("seeds", "0 1 2 3"))),
-            epochs=int(training.get("epochs", 30)),
-            batch_size=int(training.get("batch_size", 16)),
-            lr=_finite(training.get("lr", 0.1)),
-            lr_decay=_finite(training.get("lr_decay", 1.0)),
-            lam=_finite(training.get("lambda", 1e-4)),
-            architecture=training.get("architecture", "linear"),
-            hidden=int(training.get("hidden", 64)),
-        )
-        variants = {  # hyperparameter sets per encoding; the rest take none
-            "LCL": [{"epsilon": eps} for eps in epsilons],
-            "LS": [{"alpha": _finite(training.get("alpha", 0.1))}],
-            "KD": [{"kd_temperature": _finite(training.get("kd_temperature", 1.0))}],
-        }
-        configs = [experiments.ExperimentConfig(encoding=enc, dr=dr, **hyper, **common)
-                   for dr in drs for enc in encodings for hyper in variants.get(enc, [{}])]
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+        for name in parser.sections():
+            if name not in CONFIG_KEYS:
+                raise UsageError(f"{path}: unknown section [{name}]")
+            for key in parser[name]:
+                if key not in CONFIG_KEYS[name]:
+                    raise UsageError(f"{path}: [{name}] has unknown key `{key}`")
+        if "paths" not in parser or "grid" not in parser:
+            raise UsageError(f"{path}: need [paths] and [grid] sections")
+        paths, grid = dict(parser["paths"]), parser["grid"]
+        training = {field: parse(parser.get("training", key)) for key, (field, parse)
+                    in TRAINING_KEYS.items() if parser.has_option("training", key)}
+        eps = _parse_list(grid.get("epsilons", "0.9 0.99 0.999"))
+        variants = {"LCL": [{"epsilon": e} for e in eps]}
+        for enc, field in (("LS", "alpha"), ("KD", "kd_temperature")):
+            variants[enc] = [{field: training.pop(field)} if field in training else {}]
+        seeds = tuple(_parse_list(grid.get("seeds", "0 1 2 3"), int))
+        configs = [experiments.ExperimentConfig(encoding=enc, dr=dr, seeds=seeds,
+                                                **hyper, **training)
+                   for dr in _parse_list(grid.get("drs", "1.0"))
+                   for enc in grid.get("encodings", "SL").split()
+                   for hyper in variants.get(enc, [{}])]  # SL and DML take none
         # checked before any training, not after the whole grid has run
         experiments.check_rank_cells(((c.dr, seed, c.method_label)
                                       for c in configs for seed in c.seeds),
                                      cause="[grid] repeats a value")
-    except ValueError as exc:  # a malformed number, or an ExperimentError
-        raise UsageError(f"{path}: {exc}") from exc
+    # malformed INI, a malformed number, an ExperimentError or a non-UTF-8 byte
+    except (configparser.Error, ValueError) as exc:
+        lines = (line.strip() for line in str(exc).splitlines())
+        raise UsageError(f"{path}: {' '.join(lines)}") from exc
     if not configs:
         raise UsageError(f"{path}: empty grid")
     return configs, paths
@@ -140,8 +136,6 @@ def cmd_run(args):
     for key in ("train", "test"):
         if key not in paths:
             raise UsageError(f"{args.config}: [paths] needs `{key}`")
-        if not os.path.exists(paths[key]):
-            raise UsageError(f"missing data file: {paths[key]}")
     train = data.load_dataset(paths["train"])
     test = data.load_dataset(paths["test"])
     sim = None
@@ -149,8 +143,6 @@ def cmd_run(args):
     if needs_sim:
         if "similarity" not in paths:
             raise UsageError(f"{args.config}: LCL configs need [paths] similarity")
-        if not os.path.exists(paths["similarity"]):
-            raise UsageError(f"missing similarity file: {paths['similarity']}")
         sim = similarity.load_similarity(paths["similarity"])
     inputs = [paths["train"], paths["test"]] + ([paths["similarity"]] if needs_sim else [])
     try:  # once for the whole grid, before any training
@@ -181,8 +173,6 @@ def cmd_report(args):
     raw_results.csv reproduces its aggregate.csv and rank_report.txt."""
     results = []
     for path in args.raw:
-        if not os.path.exists(path):
-            raise UsageError(f"raw CSV not found: {path}")
         results.extend(experiments.read_raw_csv(path))
     if not results:
         raise UsageError("no raw result rows")
@@ -273,13 +263,13 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, similarity.SimilarityError, curriculum.CurriculumError,
+            data.DataError, experiments.ExperimentError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (similarity.SimilarityError, curriculum.CurriculumError,
-            data.DataError, experiments.ExperimentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except OSError as exc:  # a missing, unreadable or unwritable path
+        print(f"error: {exc}" if exc.filename is None else
+              f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

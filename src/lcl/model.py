@@ -45,8 +45,9 @@ class ClassifierParams:
             raise ModelError(f"{self.architecture} requires {', '.join(missing)}")
         if not self.is_finite():
             raise ModelError("non-finite parameter entries")
-        if self.architecture == "mlp1" and self.W1.shape[1] != self.W_out.shape[0]:
-            raise ModelError("hidden width mismatch between W1 and W_out")
+        if self.architecture == "mlp1" and not (
+                self.W1.shape[1] == self.b1.shape[0] == self.W_out.shape[0]):
+            raise ModelError("hidden width mismatch between W1, b1 and W_out")
         if self.W_out.shape[1] != self.b_out.shape[0]:
             raise ModelError("W_out / b_out class-count mismatch")
 
@@ -215,6 +216,10 @@ def load_checkpoint(path):
         raise ModelError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
     if len(lines) % 2:  # magic, architecture, then header/values pairs
         raise ModelError(f"{path}: truncated checkpoint ({len(lines)} lines)")
+    names = tuple(line.split(" ", 1)[0] for line in lines[2::2])
+    if names != LAYOUT.get(lines[1]):  # an unknown architecture has no layout
+        raise ModelError(f"{path}: arrays {', '.join(names) or '(none)'} do not match "
+                         f"architecture {lines[1]!r}")
     fields = {}
     for i in range(2, len(lines), 2):
         try:
@@ -223,7 +228,4 @@ def load_checkpoint(path):
             fields[name] = values.reshape(tuple(int(s) for s in shape))
         except ValueError as exc:
             raise ModelError(f"{path}:{i + 1}: bad parameter entry: {exc}") from exc
-    try:
-        return ClassifierParams(architecture=lines[1], **fields)
-    except TypeError as exc:
-        raise ModelError(f"{path}: wrong parameter set: {exc}") from exc
+    return ClassifierParams(architecture=lines[1], **fields)
