@@ -93,7 +93,7 @@ CONFIG_KEYS = {"paths": ("train", "test", "similarity", "out_dir"),
 
 def load_config_file(path):
     """Parse the key=value experiment config into (configs, paths dict)."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal, `%` too
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -264,7 +264,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (UsageError, similarity.SimilarityError, curriculum.CurriculumError,
-            data.DataError, experiments.ExperimentError, UnicodeDecodeError) as exc:
+            data.DataError, experiments.ExperimentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except OSError as exc:  # a missing, unreadable or unwritable path
         print(f"error: {exc}" if exc.filename is None else

@@ -54,12 +54,13 @@ class TargetSchedule:
         if t.ndim != 2 or t.shape[1] != c:
             raise CurriculumError("targets must be a square matrix")
         # written so that a NaN entry fails the test
-        if not (np.all(t >= 0.0) and np.max(np.abs(t.sum(axis=1) - 1.0)) <= SIMPLEX_TOL):
+        if not ((t >= 0.0).all() and np.abs(t.sum(axis=1) - 1.0).max() <= SIMPLEX_TOL):
             raise CurriculumError("every row must be on the probability simplex")
         # each diagonal entry strictly above its row's off-diagonal maximum;
         # a NaN anywhere in a row fails the comparison
-        off_max = np.where(np.eye(c, dtype=bool), -np.inf, t).max(axis=1)
-        bad = np.flatnonzero(~(np.diag(t) > off_max))
+        off = t.copy()
+        off.flat[::c + 1] = -np.inf
+        bad = np.flatnonzero(~(t.diagonal() > off.max(axis=1)))
         if bad.size:
             raise CurriculumError(f"row {bad[0]}: argmax is not the true class")
 
@@ -86,12 +87,10 @@ def step_row(row, true_class, epsilon):
 
 
 def _step_matrix(t, epsilon):
-    c = t.shape[0]
-    diag = np.diag(t)
-    off_mass = t.sum(axis=1) - diag
-    denom = 1.0 + epsilon * off_mass
-    out = epsilon * t / denom[:, None]
-    out[np.arange(c), np.arange(c)] = 1.0 / denom
+    denom = 1.0 + epsilon * (t.sum(axis=1) - t.diagonal())
+    out = epsilon * t
+    out /= denom[:, None]
+    out.flat[::t.shape[0] + 1] = 1.0 / denom
     return out
 
 

@@ -26,6 +26,7 @@ class ExperimentError(ValueError):
 
 DEFAULT_ALPHA = 0.1  # LS
 DEFAULT_TEMPERATURE = 1.0  # KD
+LOSS_LOG_ROWS = 64  # rows whose losses are computed at once, rounded to whole batches
 
 
 def method_label(encoding, epsilon=None, alpha=None, kd_temperature=None):
@@ -171,45 +172,62 @@ def _rng_streams(seed):
     }
 
 
+def _log_losses(pending, targets, b, lam, out):
+    """Set out (M, batches) to the mean loss of each b-row batch (the last may
+    be short) of the pending (M, b, C) predictions: cross-entropy, plus
+    KL(peer || own) for a DML pair, plus the lam * regularizer out holds."""
+    preds = np.concatenate(pending, axis=1)
+    ce = -np.sum(targets * np.log(np.maximum(preds, model.PROB_FLOOR)), axis=-1)
+    if len(preds) == 2:
+        ce += model.kl_rows(preds[::-1], preds)
+    full = len(targets) // b
+    means = ce[:, :full * b].reshape(len(ce), full, b).sum(axis=-1) / b
+    if full < out.shape[1]:
+        means = np.hstack([means, ce[:, full * b:].sum(axis=-1, keepdims=True)
+                           / (len(targets) - full * b)])
+    out[:] = means + out if lam else means
+
+
 def _train(config, models, xs, targets_at, shuffle_rng):
     """The SGD loop of every encoding. targets_at(epoch) returns the (n, C)
     per-example targets; two models are a DML pair, each also pulled toward
     the other's prediction. Returns the trained models and their per-epoch
-    mean losses. sgd_step does not check finiteness, so a diverged run is
-    caught here: ModelError on a non-finite epoch loss or final parameter."""
+    mean losses, logged after the steps of every LOSS_LOG_ROWS rows. sgd_step
+    does not check finiteness, so a diverged run is caught here: ModelError
+    on a non-finite epoch loss or final parameter."""
     models = list(models)
-    histories = [[] for _ in models]
-    n = xs.shape[0]
+    n, b, lam = xs.shape[0], config.batch_size, config.lam
+    per_log = max(1, LOSS_LOG_ROWS // b) * b  # rows gathered and logged at once
+    history = np.empty((config.epochs, len(models)))
     for epoch in range(config.epochs):
         lr = config.lr * config.lr_decay ** epoch
         targets = targets_at(epoch)
         order = shuffle_rng.permutation(n)
-        losses = [[] for _ in models]
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, tb = xs[idx], targets[idx]
-            preds = [model.forward(p, xb) for p in models]
-            ces = [-np.sum(tb * np.log(np.maximum(pred, model.PROB_FLOOR)), axis=1)
-                   for pred in preds]
-            errs = [pred - tb for pred in preds]
-            if len(models) == 2:  # mimicry: KL(peer || own), logit error own - peer
-                ces = [ces[0] + model.kl_rows(preds[1], preds[0]),
-                       ces[1] + model.kl_rows(preds[0], preds[1])]
-                errs = [errs[0] + (preds[0] - preds[1]), errs[1] + (preds[1] - preds[0])]
-            for m, params in enumerate(models):
-                loss = float(np.mean(ces[m]))
-                if config.lam:
-                    loss += config.lam * model.regularizer(params)
-                losses[m].append(loss)
-                grads = model.gradient_from_arrays(params, xb, errs[m], config.lam)
-                models[m] = model.sgd_step(params, grads, lr)
-        for history, epoch_losses in zip(histories, losses):
-            history.append(float(np.mean(epoch_losses)))
-            if not np.isfinite(history[-1]):
-                raise model.ModelError(f"epoch {epoch + 1}/{config.epochs}: non-finite loss")
+        losses = np.empty((len(models), -(-n // b)))
+        for first in range(0, n, per_log):
+            rows = order[first:first + per_log]
+            xs_rows, targets_rows, pending = xs[rows], targets[rows], []
+            for start in range(0, len(rows), b):
+                xb, tb = xs_rows[start:start + b], targets_rows[start:start + b]
+                outs = [model.forward_batch(p, xb) for p in models]
+                preds = [pred for pred, _ in outs]
+                errs = [pred - tb for pred in preds]
+                if len(models) == 2:  # mimicry: KL(peer || own), logit error own - peer
+                    errs = [errs[0] + (preds[0] - preds[1]), errs[1] + (preds[1] - preds[0])]
+                pending.append(preds)
+                for m, (params, (_, hidden)) in enumerate(zip(models, outs)):
+                    if lam:  # the logged loss takes the regularizer before the step
+                        losses[m, (first + start) // b] = lam * model.regularizer(params)
+                    grads = model.gradient_from_arrays(params, xb, errs[m], lam, hidden)
+                    models[m] = model.sgd_step(params, grads, lr)
+            _log_losses(pending, targets_rows, b, lam,
+                        losses[:, first // b:first // b + len(pending)])
+        history[epoch] = losses.mean(axis=1)
+        if not np.isfinite(history[epoch]).all():
+            raise model.ModelError(f"epoch {epoch + 1}/{config.epochs}: non-finite loss")
     if not all(params.is_finite() for params in models):
         raise model.ModelError(f"epoch {config.epochs}/{config.epochs}: non-finite parameters")
-    return models, histories
+    return models, history.T.tolist()
 
 
 def _evaluate(params, test):
@@ -448,17 +466,20 @@ def read_raw_csv(path):
     """Trial results from a raw CSV written by write_raw_csv, without loss
     histories or parameters. Malformed rows raise ExperimentError naming
     path:line."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(RAW_HEADER) - set(reader.fieldnames or [])
-        if missing:
-            raise ExperimentError(f"{path}: missing columns {sorted(missing)}")
-        results = []
-        for row in reader:
-            try:
-                results.append(_result_from_row(row))
-            except ValueError as exc:
-                raise ExperimentError(f"{path}:{reader.line_num}: {exc}") from exc
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = set(RAW_HEADER) - set(reader.fieldnames or [])
+            if missing:
+                raise ExperimentError(f"{path}: missing columns {sorted(missing)}")
+            results = []
+            for row in reader:
+                try:
+                    results.append(_result_from_row(row))
+                except ValueError as exc:
+                    raise ExperimentError(f"{path}:{reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ExperimentError(f"{path}: {exc}") from exc
     return results
 
 

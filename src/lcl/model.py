@@ -96,20 +96,33 @@ def _softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _logits(params, x):
+    """Unchecked logits, and the mlp1 hidden layer as (pre-activation, ReLU)."""
+    if params.architecture == "linear":
+        return x @ params.W_out + params.b_out, None
+    pre = x @ params.W1 + params.b1
+    hidden = np.maximum(pre, 0.0)
+    return hidden @ params.W_out + params.b_out, (pre, hidden)
+
+
 def logits(params, x):
     """Pre-softmax outputs; x may be a single d-vector or an (n, d) batch."""
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ModelError("non-finite input")
-    if params.architecture == "linear":
-        return x @ params.W_out + params.b_out
-    hidden = np.maximum(x @ params.W1 + params.b1, 0.0)
-    return hidden @ params.W_out + params.b_out
+    return _logits(params, x)[0]
 
 
 def forward(params, x):
     """Predicted class distribution(s) softmax(logits)."""
     return _softmax(logits(params, x))
+
+
+def forward_batch(params, xs):
+    """forward() of an (n, d) batch and the hidden layer for gradient_from_arrays,
+    without the scan for non-finite inputs: a Dataset has checked them."""
+    z, hidden = _logits(params, xs)
+    return _softmax(z), hidden
 
 
 def cross_entropy(pred, target):
@@ -176,17 +189,21 @@ def gradient(params, batch, lam=0.0):
     return gradient_from_arrays(params, xs, forward(params, xs) - ts, lam)
 
 
-def gradient_from_arrays(params, xs, err, lam=0.0):
+def gradient_from_arrays(params, xs, err, lam=0.0, hidden=None):
     """Backpropagation on dense (n, d) inputs and the (n, C) per-example
-    error at the logits (pred - target for the cross-entropy term)."""
+    error at the logits (pred - target for the cross-entropy term). hidden is
+    the hidden layer forward_batch returned for xs; None recomputes it."""
     err = err / xs.shape[0]
     if params.architecture == "linear":
-        return _unchecked("linear", (xs.T @ err + lam * params.W_out, err.sum(axis=0)))
-    pre = xs @ params.W1 + params.b1
-    hidden = np.maximum(pre, 0.0)
-    back = (err @ params.W_out.T) * (pre > 0.0)
-    return _unchecked("mlp1", (xs.T @ back + lam * params.W1, back.sum(axis=0),
-                               hidden.T @ err + lam * params.W_out, err.sum(axis=0)))
+        grads = [xs.T @ err, err.sum(axis=0)]
+    else:
+        pre, act = _logits(params, xs)[1] if hidden is None else hidden
+        back = (err @ params.W_out.T) * (pre > 0.0)
+        grads = [xs.T @ back, back.sum(axis=0), act.T @ err, err.sum(axis=0)]
+    if lam:  # weight decay on the weights, every other array in LAYOUT order
+        for g, w in zip(grads[::2], params.arrays()[::2]):
+            g += lam * w
+    return _unchecked(params.architecture, grads)
 
 
 def sgd_step(params, grads, lr):
@@ -228,4 +245,7 @@ def load_checkpoint(path):
             fields[name] = values.reshape(tuple(int(s) for s in shape))
         except ValueError as exc:
             raise ModelError(f"{path}:{i + 1}: bad parameter entry: {exc}") from exc
-    return ClassifierParams(architecture=lines[1], **fields)
+    try:
+        return ClassifierParams(architecture=lines[1], **fields)
+    except ModelError as exc:  # a shape mismatch or a non-finite entry
+        raise ModelError(f"{path}: {exc}") from exc

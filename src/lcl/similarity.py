@@ -133,20 +133,23 @@ def load_embeddings(path, expected_dim=None):
     """Read a whitespace-separated embedding file: one `name f1 ... fd` line
     per class, `#` comments ignored. Line order defines the class index."""
     names, rows = [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise SimilarityError(f"{path}:{lineno}: expected a name and values")
-            try:
-                vec = [float(x) for x in parts[1:]]
-            except ValueError as exc:
-                raise SimilarityError(f"{path}:{lineno}: bad number: {exc}") from exc
-            names.append(parts[0])
-            rows.append(vec)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) < 2:
+                    raise SimilarityError(f"{path}:{lineno}: expected a name and values")
+                try:
+                    vec = [float(x) for x in parts[1:]]
+                except ValueError as exc:
+                    raise SimilarityError(f"{path}:{lineno}: bad number: {exc}") from exc
+                names.append(parts[0])
+                rows.append(vec)
+    except UnicodeDecodeError as exc:
+        raise SimilarityError(f"{path}: {exc}") from exc
     if not names:
         raise SimilarityError(f"{path}: no embedding rows")
     dims = {len(r) for r in rows}
@@ -162,18 +165,21 @@ def load_hierarchy(path):
     """Read an edge-list hierarchy file: `parent child` lines plus a trailing
     `@leaves c1 c2 ...` directive fixing class order."""
     edges, leaves = [], None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("@leaves"):
-                leaves = line.split()[1:]
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise SimilarityError(f"{path}:{lineno}: expected `parent child`")
-            edges.append((parts[0], parts[1]))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if line.startswith("@leaves"):
+                    leaves = line.split()[1:]
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise SimilarityError(f"{path}:{lineno}: expected `parent child`")
+                edges.append((parts[0], parts[1]))
+    except UnicodeDecodeError as exc:
+        raise SimilarityError(f"{path}: {exc}") from exc
     if leaves is None:
         raise SimilarityError(f"{path}: missing @leaves directive")
     try:
@@ -294,26 +300,29 @@ def save_similarity(sim, path):
 
 def load_similarity(path, source="external"):
     """Read a similarity matrix written by save_similarity."""
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            names = next(reader)
-        except StopIteration:
-            raise SimilarityFileError(f"{path}: empty similarity file") from None
-        rows = []
-        for row in filter(None, reader):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                values = [float(x) for x in row]
-            except ValueError as exc:
-                raise SimilarityFileError(f"{path}:{reader.line_num}: {exc}") from exc
-            bad = [x for x, v in zip(row, values) if not math.isfinite(v)]
-            if bad:
-                raise SimilarityFileError(f"{path}:{reader.line_num}: "
-                                          f"non-finite entry {bad[0]!r}")
-            rows.append(values)
-            if len(row) != len(names):
-                raise SimilarityFileError(f"{path}:{reader.line_num}: {len(row)} entries, "
-                                          f"expected {len(names)}")
+                names = next(reader)
+            except StopIteration:
+                raise SimilarityFileError(f"{path}: empty similarity file") from None
+            rows = []
+            for row in filter(None, reader):
+                try:
+                    values = [float(x) for x in row]
+                except ValueError as exc:
+                    raise SimilarityFileError(f"{path}:{reader.line_num}: {exc}") from exc
+                bad = [x for x, v in zip(row, values) if not math.isfinite(v)]
+                if bad:
+                    raise SimilarityFileError(f"{path}:{reader.line_num}: "
+                                              f"non-finite entry {bad[0]!r}")
+                rows.append(values)
+                if len(row) != len(names):
+                    raise SimilarityFileError(f"{path}:{reader.line_num}: {len(row)} entries, "
+                                              f"expected {len(names)}")
+    except UnicodeDecodeError as exc:
+        raise SimilarityFileError(f"{path}: {exc}") from exc
     if len(rows) != len(names):
         raise SimilarityFileError(f"{path}: expected {len(names)} rows, got {len(rows)}")
     return SimilarityMatrix(entries=np.array(rows), class_names=names, source=source)

@@ -1,0 +1,95 @@
+"""Input errors name their file: a non-UTF-8 data, similarity, embedding,
+hierarchy or raw CSV file, and a checkpoint whose arrays do not fit
+together. Config values are taken literally, `%` included. The schedule's
+checks and cooling step give the bits they gave before they were trimmed."""
+
+import re
+
+import numpy as np
+import pytest
+
+from lcl import cli, curriculum, data, experiments as ex, model, similarity as sm
+
+NOT_UTF8 = b"a,b\n1.0,0.5\n0.5,1.0\xff\n"
+
+
+@pytest.mark.parametrize("load, error", [
+    (data.load_dataset, data.DataError),
+    (sm.load_embeddings, sm.SimilarityError),
+    (sm.load_hierarchy, sm.SimilarityError),
+    (sm.load_similarity, sm.SimilarityFileError),
+    (ex.read_raw_csv, ex.ExperimentError),
+], ids=["dataset", "embeddings", "hierarchy", "similarity", "raw-csv"])
+def test_non_utf8_file_names_the_path_and_the_byte(tmp_path, load, error):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(NOT_UTF8)
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: .*0xff"):
+        load(str(path))
+
+
+def test_cli_names_the_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(NOT_UTF8)
+    assert cli.main(["verify", "--sim", str(path), "--epsilon", "0.9"]) == cli.EXIT_USAGE
+    line, = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {path}: ") and "0xff" in line
+
+
+def test_percent_in_a_config_value_is_literal(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert cli.main(["gen-data", "--superclusters", "2", "--classes-per-supercluster", "2",
+                     "--dim", "3", "--train-per-class", "3", "--test-per-class", "3",
+                     "--out-dir", str(out)]) == cli.EXIT_OK
+    (out / "train.csv").rename(out / "100%.csv")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[paths]\ntrain = {out / '100%.csv'}\ntest = {out / 'test.csv'}\n"
+                   f"out_dir = {tmp_path / '%(results)s'}\n"
+                   "[grid]\nencodings = SL\nseeds = 0 1\n[training]\nepochs = 1\n")
+    _, paths = cli.load_config_file(str(cfg))
+    assert paths["train"] == str(out / "100%.csv")
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_OK
+    assert (tmp_path / "%(results)s" / "raw_results.csv").is_file()
+
+
+def test_checkpoint_shape_error_names_the_file(tmp_path):
+    path = tmp_path / "m.ckpt"
+    model.save_checkpoint(model.init_params("linear", 3, 4, seed=0), path)
+    lines = path.read_text().splitlines()
+    assert lines[4] == "b_out 4"
+    lines[4:6] = ["b_out 5", " ".join(["0.0"] * 5)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(model.ModelError,
+                       match=f"^{re.escape(str(path))}: W_out / b_out class-count mismatch$"):
+        model.load_checkpoint(path)
+
+
+def step_matrix_before(t, epsilon):
+    """The cooling step as written before it was trimmed."""
+    c = t.shape[0]
+    diag = np.diag(t)
+    denom = 1.0 + epsilon * (t.sum(axis=1) - diag)
+    out = epsilon * t / denom[:, None]
+    out[np.arange(c), np.arange(c)] = 1.0 / denom
+    return out
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_step_matrix_bits_unchanged(order):
+    rng = np.random.default_rng(4)
+    for c in (1, 2, 5, 30):
+        t = rng.random((c, c)) + np.eye(c) * c
+        t = np.array(t / t.sum(axis=1, keepdims=True), order=order)
+        for eps in (0.5, 0.9, 0.999):
+            stepped = curriculum.step(curriculum.TargetSchedule(t, eps))
+            assert stepped.targets.tobytes() == step_matrix_before(t, eps).tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_schedule_rejects_off_diagonal_argmax(order):
+    t = np.array([[0.6, 0.4, 0.0], [0.5, 0.2, 0.3], [0.0, 0.1, 0.9]], order=order)
+    with pytest.raises(curriculum.CurriculumError, match="^row 1: argmax"):
+        curriculum.TargetSchedule(t, 0.9)
+    t = np.array(t)
+    t[2, 0] = np.nan
+    with pytest.raises(curriculum.CurriculumError, match="simplex"):
+        curriculum.TargetSchedule(t, 0.9)
