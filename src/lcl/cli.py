@@ -75,6 +75,16 @@ def _finite(text):
     return value
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _parse_list(text, parse=_finite):
     return [parse(x) for x in text.replace(",", " ").split()]
 
@@ -232,7 +242,7 @@ def build_parser():
     p = sub.add_parser("run", help="run an experiment suite from a config file")
     p.add_argument("config", help="key=value config file")
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", help="aggregate raw CSVs and run the rank test")

@@ -78,6 +78,8 @@ class SyntheticSpec:
             raise DataError("spreads and noise must be positive")
         if self.inter_spread <= self.intra_spread:
             raise DataError("inter_spread must exceed intra_spread")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def num_classes(self):

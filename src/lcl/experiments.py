@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 import re
 import time
@@ -93,6 +94,8 @@ class ExperimentConfig:
             raise ExperimentError(f"unknown architecture {self.architecture!r}")
         if not self.seeds:
             raise ExperimentError("at least one seed is required")
+        if not all(isinstance(s, numbers.Integral) and s >= 0 for s in self.seeds):
+            raise ExperimentError(f"seeds must be integers >= 0, got {self.seeds}")
 
     @property
     def effective_alpha(self):
@@ -188,25 +191,26 @@ def _log_losses(pending, targets, b, lam, out):
     out[:] = means + out if lam else means
 
 
-def _train(config, models, xs, targets_at, shuffle_rng):
-    """The SGD loop of every encoding. targets_at(epoch) returns the (n, C)
-    per-example targets; two models are a DML pair, each also pulled toward
-    the other's prediction. Returns the trained models and their per-epoch
-    mean losses, logged after the steps of every LOSS_LOG_ROWS rows. sgd_step
-    does not check finiteness, so a diverged run is caught here: ModelError
-    on a non-finite epoch loss or final parameter."""
+def _train(config, models, xs, index, table_at, shuffle_rng):
+    """The SGD loop of every encoding. Training rows `rows` of epoch t take
+    the targets table_at(t)[index[rows]]: rows of a C x C class table picked
+    by label, or of KD's (n, C) soft targets picked by row. Two models are a
+    DML pair, each also pulled toward the other's prediction. Returns the
+    trained models and their per-epoch mean losses, logged after the steps of
+    every LOSS_LOG_ROWS rows; sgd_step does not check finiteness, so ModelError
+    is raised here on a non-finite epoch loss or final parameter."""
     models = list(models)
     n, b, lam = xs.shape[0], config.batch_size, config.lam
     per_log = max(1, LOSS_LOG_ROWS // b) * b  # rows gathered and logged at once
     history = np.empty((config.epochs, len(models)))
     for epoch in range(config.epochs):
         lr = config.lr * config.lr_decay ** epoch
-        targets = targets_at(epoch)
+        table = table_at(epoch)
         order = shuffle_rng.permutation(n)
         losses = np.empty((len(models), -(-n // b)))
         for first in range(0, n, per_log):
             rows = order[first:first + per_log]
-            xs_rows, targets_rows, pending = xs[rows], targets[rows], []
+            xs_rows, targets_rows, pending = xs[rows], table[index[rows]], []
             for start in range(0, len(rows), b):
                 xb, tb = xs_rows[start:start + b], targets_rows[start:start + b]
                 outs = [model.forward_batch(p, xb) for p in models]
@@ -267,14 +271,12 @@ def run_trial(config, seed, train, test, sim=None, debug_verify=False):
         return model.init_params(config.architecture, train.dim, c,
                                  hidden=config.hidden, seed=streams[stream])
 
-    one_hot = np.eye(c)[ys]
-    targets_at = lambda epoch: one_hot
+    table, index = np.eye(c), ys
+    table_at = lambda epoch: table  # late-bound: a branch below may replace table
     models, shuffle = [init("init")], streams["shuffle"]
     if config.encoding == "LS":
-        rows = np.stack([curriculum.label_smoothing(i, c, config.effective_alpha).probs
-                         for i in range(c)])
-        smoothed = rows[ys]
-        targets_at = lambda epoch: smoothed
+        table = np.stack([curriculum.label_smoothing(i, c, config.effective_alpha).probs
+                          for i in range(c)])
     elif config.encoding == "LCL":
         schedule = curriculum.init_targets(sim, config.epsilon)
         if debug_verify:
@@ -282,19 +284,19 @@ def run_trial(config, seed, train, test, sim=None, debug_verify=False):
             if not report.passed:
                 raise ExperimentError("curriculum axioms violated:\n" + report.summary())
 
-        def targets_at(epoch):
+        def table_at(epoch):
             nonlocal schedule
             schedule = curriculum.advance_to(schedule, epoch)
-            return schedule.targets[ys]
+            return schedule.targets
     elif config.encoding == "KD":
         # teacher is a full-budget SL run under the same seed streams
-        (teacher,), _ = _train(config, models, xs, targets_at, shuffle)
-        soft = model._softmax(model.logits(teacher, xs) / config.effective_temperature)
-        targets_at = lambda epoch: soft
+        (teacher,), _ = _train(config, models, xs, index, table_at, shuffle)
+        table = model._softmax(model.logits(teacher, xs) / config.effective_temperature)
+        index = np.arange(len(ys))  # the soft targets are picked by row
         models, shuffle = [init("init2")], streams["shuffle2"]
     elif config.encoding == "DML":
         models.append(init("init2"))
-    models, histories = _train(config, models, xs, targets_at, shuffle)
+    models, histories = _train(config, models, xs, index, table_at, shuffle)
     scores = [_evaluate(params, test) for params in models]
     wall_ms = (time.perf_counter() - t_start) * 1000.0
     alpha = config.effective_alpha if config.encoding == "LS" else None

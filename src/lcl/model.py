@@ -90,10 +90,11 @@ def init_params(architecture, input_dim, num_classes, hidden=64, seed=0):
 
 
 def _softmax(logits):
-    # max-subtraction keeps exp() in range
+    # max-subtraction keeps exp() in range; exp and the division reuse z
     z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _logits(params, x):

@@ -104,7 +104,7 @@ def task():
     return train, test, sm.build_cosine_similarity(emb)
 
 
-def per_batch_train(config, models, xs, targets_at, shuffle_rng):
+def per_batch_train(config, models, xs, index, table_at, shuffle_rng):
     """The training loop as it was before the batch step was reworked: two
     fancy-index gathers, a checked forward pass, the loss and a gradient that
     recomputes the hidden layer on every batch."""
@@ -113,7 +113,7 @@ def per_batch_train(config, models, xs, targets_at, shuffle_rng):
     n = xs.shape[0]
     for epoch in range(config.epochs):
         lr = config.lr * config.lr_decay ** epoch
-        targets = targets_at(epoch)
+        targets = table_at(epoch)[index]
         order = shuffle_rng.permutation(n)
         losses = [[] for _ in models]
         for start in range(0, n, config.batch_size):

@@ -137,6 +137,15 @@ class TestRunAndReport:
     def test_run_missing_config_is_usage_error(self, tmp_path):
         assert run(["run", str(tmp_path / "nope.cfg")]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_run_jobs_below_one_is_usage_error(self, workspace, capsys, jobs):
+        # --jobs 0 used to run serially without a word
+        out_dir = workspace / "results"
+        cfg = self.write_config(workspace, out_dir)
+        assert run(["run", str(cfg), "--jobs", jobs]) == cli.EXIT_USAGE
+        assert "argument --jobs: must be an integer >= 1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_run_config_without_sections(self, tmp_path):
         cfg = tmp_path / "x.cfg"
         cfg.write_text("[paths]\ntrain = a\n")

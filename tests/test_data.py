@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lcl import data
+from lcl import cli, data
 
 
 def tiny_dataset(per_class=4, c=3, d=2, split="train"):
@@ -118,6 +118,17 @@ class TestSyntheticSpec:
             data.SyntheticSpec(0, 2, 4, 5, 5)
         with pytest.raises(data.DataError):
             data.SyntheticSpec(2, 2, 4, 5, 5, intra_spread=2.0, inter_spread=1.0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(data.DataError, match="seed must be >= 0"):
+            data.SyntheticSpec(2, 2, 4, 5, 5, seed=-1)
+
+    def test_gen_data_negative_seed_is_usage_error(self, tmp_path, capsys):
+        # used to end in a numpy ValueError traceback and exit 1
+        out = tmp_path / "out"
+        assert cli.main(["gen-data", "--seed", "-1", "--out-dir", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_num_classes(self):
         spec = data.SyntheticSpec(3, 4, 8, 5, 5)

@@ -38,6 +38,7 @@ BAD_VALUES = [
     ("SL", {"lam": math.inf}, "lam"),
     ("SL", {"batch_size": 0}, "batch_size"), ("SL", {"hidden": 0}, "hidden"),
     ("SL", {"architecture": "cnn"}, "architecture"),
+    ("SL", {"seeds": (-1, 0)}, "seeds"), ("SL", {"seeds": (0, 1.5)}, "seeds"),
 ]
 
 
@@ -79,6 +80,15 @@ class TestConfigRanges:
         assert cli.main(["run", str(cfg)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert str(cfg) in err and "alpha must lie in [0, 1]" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_stops_run_before_training(self, tmp_path, task, capsys):
+        # used to train seed 0, log seed -1 to errors.log and exit 1
+        cfg = write_config(tmp_path, task, "encodings = SL\nseeds = -1 0\n")
+        assert cli.main(["run", str(cfg)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and str(cfg) in err
+        assert "seeds must be integers >= 0" in err
         assert not (tmp_path / "out").exists()
 
 
