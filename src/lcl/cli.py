@@ -122,10 +122,12 @@ def load_config_file(path):
         variants = {"LCL": [{"epsilon": e} for e in eps]}
         for enc, field in (("LS", "alpha"), ("KD", "kd_temperature")):
             variants[enc] = [{field: training.pop(field)} if field in training else {}]
-        seeds = tuple(_parse_list(grid.get("seeds", "0 1 2 3"), int))
+        default = experiments.ExperimentConfig  # a key left out takes its default
+        seeds = tuple(_parse_list(grid["seeds"], int)) if "seeds" in grid else default.seeds
+        drs = _parse_list(grid["drs"]) if "drs" in grid else [default.dr]
         configs = [experiments.ExperimentConfig(encoding=enc, dr=dr, seeds=seeds,
                                                 **hyper, **training)
-                   for dr in _parse_list(grid.get("drs", "1.0"))
+                   for dr in drs
                    for enc in grid.get("encodings", "SL").split()
                    for hyper in variants.get(enc, [{}])]  # SL and DML take none
         # checked before any training, not after the whole grid has run
@@ -194,13 +196,8 @@ def cmd_report(args):
 
 
 def cmd_gen_data(args):
-    spec = data.SyntheticSpec(
-        num_superclusters=args.superclusters,
-        classes_per_supercluster=args.classes_per_supercluster,
-        dim=args.dim, train_per_class=args.train_per_class,
-        test_per_class=args.test_per_class, intra_spread=args.intra_spread,
-        inter_spread=args.inter_spread, noise_sigma=args.noise_sigma,
-        seed=args.seed)
+    spec = data.SyntheticSpec(**{f.name: getattr(args, f.name)
+                                 for f in dataclasses.fields(data.SyntheticSpec)})
     train, test, embeddings = data.generate_synthetic(spec)
     os.makedirs(args.out_dir, exist_ok=True)
     train_path = os.path.join(args.out_dir, "train.csv")
@@ -208,9 +205,7 @@ def cmd_gen_data(args):
     emb_path = os.path.join(args.out_dir, "embeddings.txt")
     data.save_dataset(train, train_path)
     data.save_dataset(test, test_path)
-    with open(emb_path, "w", encoding="utf-8", newline="\n") as fh:
-        for name, row in zip(embeddings.class_names, embeddings.vectors):
-            fh.write(name + " " + " ".join(repr(float(x)) for x in row) + "\n")
+    similarity.save_embeddings(embeddings, emb_path)
     print(f"wrote {train_path} ({train.num_examples} rows), "
           f"{test_path} ({test.num_examples} rows), {emb_path}")
     return EXIT_OK
@@ -251,15 +246,10 @@ def build_parser():
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("gen-data", help="generate the synthetic cluster task")
-    p.add_argument("--superclusters", type=int, default=4)
-    p.add_argument("--classes-per-supercluster", type=int, default=5)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--train-per-class", type=int, default=50)
-    p.add_argument("--test-per-class", type=int, default=50)
-    p.add_argument("--intra-spread", type=float, default=1.0)
-    p.add_argument("--inter-spread", type=float, default=4.0)
-    p.add_argument("--noise-sigma", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    for f in dataclasses.fields(data.SyntheticSpec):  # SyntheticSpec holds the defaults
+        flag = f.name.removeprefix("num_").replace("_", "-")
+        p.add_argument(f"--{flag}", dest=f.name, type=type(f.default), default=f.default,
+                       metavar=flag.replace("-", "_").upper())
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_gen_data)
     return parser

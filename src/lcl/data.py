@@ -58,13 +58,13 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Generator settings for the hierarchical-cluster synthetic task."""
+    """Generator settings; `lcl gen-data` has one flag per field, with its default."""
 
-    num_superclusters: int
-    classes_per_supercluster: int
-    dim: int
-    train_per_class: int
-    test_per_class: int
+    num_superclusters: int = 4
+    classes_per_supercluster: int = 5
+    dim: int = 32
+    train_per_class: int = 50
+    test_per_class: int = 50
     intra_spread: float = 1.0
     inter_spread: float = 4.0
     noise_sigma: float = 0.5

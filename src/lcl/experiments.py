@@ -43,6 +43,10 @@ def method_label(encoding, epsilon=None, alpha=None, kd_temperature=None):
     return encoding
 
 
+def _is_seed(seed):
+    return isinstance(seed, numbers.Integral) and seed >= 0
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One cell of the experiment grid (seeds enumerate paired trials)."""
@@ -94,7 +98,7 @@ class ExperimentConfig:
             raise ExperimentError(f"unknown architecture {self.architecture!r}")
         if not self.seeds:
             raise ExperimentError("at least one seed is required")
-        if not all(isinstance(s, numbers.Integral) and s >= 0 for s in self.seeds):
+        if not all(map(_is_seed, self.seeds)):
             raise ExperimentError(f"seeds must be integers >= 0, got {self.seeds}")
 
     @property
@@ -260,6 +264,8 @@ def run_trial(config, seed, train, test, sim=None, debug_verify=False):
     The seed controls subsampling, initialization, and batch shuffling
     identically across encodings, so method comparisons are paired.
     """
+    if not _is_seed(seed):
+        raise ExperimentError(f"seed must be an integer >= 0, got {seed!r}")
     check_inputs((config,), train, test, sim)
     t_start = time.perf_counter()
     streams = _rng_streams(seed)

@@ -36,6 +36,8 @@ class EmbeddingTable:
             raise SimilarityError("vectors must be a C x d matrix with d >= 1")
         if len(self.class_names) != vecs.shape[0]:
             raise SimilarityError("class name count does not match row count")
+        if not np.all(np.isfinite(vecs)):
+            raise SimilarityError("non-finite vector entries")
         if len(set(self.class_names)) != len(self.class_names):
             raise SimilarityError("duplicate class name")
         norms = np.linalg.norm(vecs, axis=1)
@@ -129,6 +131,19 @@ class HierarchyGraph:
         return tuple(p for p, c in self.edges if c == node)
 
 
+def _finite_floats(tokens, where, error):
+    """The tokens as floats; `error` names `where` at the first token that is
+    not a number or not finite (`nan`, `inf`, or a value that overflows)."""
+    try:
+        values = [float(x) for x in tokens]
+    except ValueError as exc:
+        raise error(f"{where}: {exc}") from exc
+    bad = [x for x, v in zip(tokens, values) if not math.isfinite(v)]
+    if bad:
+        raise error(f"{where}: non-finite entry {bad[0]!r}")
+    return values
+
+
 def load_embeddings(path, expected_dim=None):
     """Read a whitespace-separated embedding file: one `name f1 ... fd` line
     per class, `#` comments ignored. Line order defines the class index."""
@@ -142,12 +157,8 @@ def load_embeddings(path, expected_dim=None):
                 parts = line.split()
                 if len(parts) < 2:
                     raise SimilarityError(f"{path}:{lineno}: expected a name and values")
-                try:
-                    vec = [float(x) for x in parts[1:]]
-                except ValueError as exc:
-                    raise SimilarityError(f"{path}:{lineno}: bad number: {exc}") from exc
                 names.append(parts[0])
-                rows.append(vec)
+                rows.append(_finite_floats(parts[1:], f"{path}:{lineno}", SimilarityError))
     except UnicodeDecodeError as exc:
         raise SimilarityError(f"{path}: {exc}") from exc
     if not names:
@@ -158,7 +169,18 @@ def load_embeddings(path, expected_dim=None):
     d = dims.pop()
     if expected_dim is not None and d != expected_dim:
         raise SimilarityError(f"{path}: dimension {d}, expected {expected_dim}")
-    return EmbeddingTable(class_names=names, vectors=np.array(rows, dtype=float))
+    try:
+        return EmbeddingTable(class_names=names, vectors=np.array(rows, dtype=float))
+    except SimilarityError as exc:
+        raise SimilarityError(f"{path}: {exc}") from exc
+
+
+def save_embeddings(table, path):
+    """Write the table as load_embeddings reads it: one `name f1 ... fd`
+    line per class, values at full double precision."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for name, row in zip(table.class_names, table.vectors):
+            fh.write(name + " " + " ".join(repr(float(x)) for x in row) + "\n")
 
 
 def load_hierarchy(path):
@@ -309,15 +331,8 @@ def load_similarity(path, source="external"):
                 raise SimilarityFileError(f"{path}: empty similarity file") from None
             rows = []
             for row in filter(None, reader):
-                try:
-                    values = [float(x) for x in row]
-                except ValueError as exc:
-                    raise SimilarityFileError(f"{path}:{reader.line_num}: {exc}") from exc
-                bad = [x for x, v in zip(row, values) if not math.isfinite(v)]
-                if bad:
-                    raise SimilarityFileError(f"{path}:{reader.line_num}: "
-                                              f"non-finite entry {bad[0]!r}")
-                rows.append(values)
+                rows.append(_finite_floats(row, f"{path}:{reader.line_num}",
+                                           SimilarityFileError))
                 if len(row) != len(names):
                     raise SimilarityFileError(f"{path}:{reader.line_num}: {len(row)} entries, "
                                               f"expected {len(names)}")
@@ -325,7 +340,10 @@ def load_similarity(path, source="external"):
         raise SimilarityFileError(f"{path}: {exc}") from exc
     if len(rows) != len(names):
         raise SimilarityFileError(f"{path}: expected {len(names)} rows, got {len(rows)}")
-    return SimilarityMatrix(entries=np.array(rows), class_names=names, source=source)
+    try:  # the matrix, not the file's form, is at fault: `lcl verify` exits 1 on it
+        return SimilarityMatrix(entries=np.array(rows), class_names=names, source=source)
+    except SimilarityError as exc:
+        raise SimilarityError(f"{path}: {exc}") from exc
 
 
 def identity_similarity(class_names):

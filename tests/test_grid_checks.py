@@ -57,6 +57,18 @@ class TestConfigRanges:
     def test_range_edges_accepted(self, encoding, values):
         ex.ExperimentConfig(encoding=encoding, **values)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+    def test_run_trial_rejects_a_bad_seed(self, task, seed):
+        # -1 used to end in numpy's bare ValueError; 1.5 trained and recorded seed=1.5
+        train, test = (data.load_dataset(task / name) for name in ("train.csv", "test.csv"))
+        with pytest.raises(ex.ExperimentError, match="^seed must be an integer >= 0"):
+            ex.run_trial(ex.ExperimentConfig("SL", epochs=1), seed, train, test)
+
+    def test_run_trial_takes_a_numpy_integer_seed(self, task):
+        train, test = (data.load_dataset(task / name) for name in ("train.csv", "test.csv"))
+        config = ex.ExperimentConfig("SL", epochs=1)
+        assert ex.run_trial(config, np.int64(1), train, test).seed == 1
+
     @pytest.mark.parametrize("grid", ["drs = abc\n", "epsilons = 0.9 x\n", "seeds = 0 1.5\n"])
     def test_malformed_grid_number_names_the_file(self, tmp_path, task, capsys, grid):
         # used to end in a ValueError traceback

@@ -1,7 +1,8 @@
 """Input errors name their file: a non-UTF-8 data, similarity, embedding,
-hierarchy or raw CSV file, and a checkpoint whose arrays do not fit
-together. Config values are taken literally, `%` included. The schedule's
-checks and cooling step give the bits they gave before they were trimmed."""
+hierarchy or raw CSV file, an embedding table or similarity matrix that
+breaks an invariant, and a checkpoint whose arrays do not fit together.
+Config values are taken literally, `%` included. The schedule's checks and
+cooling step give the bits they gave before they were trimmed."""
 
 import re
 
@@ -93,3 +94,49 @@ def test_schedule_rejects_off_diagonal_argmax(order):
     t[2, 0] = np.nan
     with pytest.raises(curriculum.CurriculumError, match="simplex"):
         curriculum.TargetSchedule(t, 0.9)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("a 1 0\na 0 1\n", "duplicate class name"),
+    ("a 0 0\nb 0 1\n", "zero vector for class 'a'"),
+], ids=["duplicate-name", "zero-vector"])
+def test_embedding_table_errors_name_the_file(tmp_path, text, reason):
+    path = tmp_path / "emb.txt"
+    path.write_text(text)
+    with pytest.raises(sm.SimilarityError, match=f"^{re.escape(f'{path}: {reason}')}$"):
+        sm.load_embeddings(path)
+
+
+SIM_MATRIX_ERRORS = [
+    ("1.0,0.2\n0.3,1.0\n", "exactly symmetric"),
+    ("0.9,0.2\n0.2,1.0\n", "diagonal entries must equal 1"),
+    ("1.0,1.0\n1.0,1.0\n", "off-diagonal entry reaches 1"),
+    ("1.0,-0.1\n-0.1,1.0\n", r"entries must lie in \[0, 1\]"),
+]
+
+
+@pytest.mark.parametrize("rows, reason", SIM_MATRIX_ERRORS,
+                         ids=["asymmetric", "diagonal", "off-diagonal-1", "out-of-range"])
+def test_similarity_matrix_errors_name_the_file(tmp_path, rows, reason):
+    path = tmp_path / "sim.csv"
+    path.write_text("a,b\n" + rows)
+    with pytest.raises(sm.SimilarityError, match=f"^{re.escape(str(path))}: .*{reason}") as err:
+        sm.load_similarity(path)
+    assert not isinstance(err.value, sm.SimilarityFileError)  # `lcl verify` exits 1 on it
+
+
+def test_run_names_the_asymmetric_similarity_file(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert cli.main(["gen-data", "--superclusters", "1", "--classes-per-supercluster", "2",
+                     "--dim", "3", "--train-per-class", "3", "--test-per-class", "3",
+                     "--out-dir", str(out)]) == cli.EXIT_OK
+    sim = tmp_path / "sim.csv"
+    sim.write_text("a,b\n1.0,0.2\n0.3,1.0\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[paths]\ntrain = {out / 'train.csv'}\ntest = {out / 'test.csv'}\n"
+                   f"similarity = {sim}\nout_dir = {tmp_path / 'out'}\n"
+                   "[grid]\nencodings = LCL\nepsilons = 0.9\nseeds = 0\n")
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: {sim}: similarity matrix must be exactly symmetric\n"
+    assert not (tmp_path / "out").exists()

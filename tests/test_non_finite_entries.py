@@ -1,6 +1,8 @@
-"""Non-finite similarity and target entries are rejected by name: a NaN or
+"""Non-finite similarity, embedding and target entries are rejected by name: a NaN or
 inf must fail the checks it used to slip past, not be reported as some
 other broken property."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -48,3 +50,29 @@ def test_verify_curriculum_flags_nan_row_as_simplex_violation():
     object.__setattr__(s, "targets", np.array([[0.9, 0.1], [np.nan, 1.0]]))
     report = curriculum.verify_curriculum(s, 1)
     assert {(v.axiom, v.row) for v in report.violations if v.step == 0} >= {("simplex", 1)}
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+def test_load_embeddings_names_path_and_line(tmp_path, token):
+    path = tmp_path / "emb.txt"
+    path.write_text(f"# comment\na 1.0 0.5\nb {token} 1.0\n")
+    with pytest.raises(sm.SimilarityError, match=f"^{path}:3: non-finite entry '{token}'"):
+        sm.load_embeddings(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+def test_build_sim_exits_2_on_non_finite_embedding_without_warning(tmp_path, capsys, token):
+    path = tmp_path / "emb.txt"
+    path.write_text(f"a 1.0 0.5\nb {token} 1.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["build-sim", "--kind", "embedding", "--in", str(path),
+                         "--out", str(tmp_path / "sim.csv")])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {path}:2: non-finite entry '{token}'\n"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_embedding_table_rejects_non_finite_vectors(bad):
+    with pytest.raises(sm.SimilarityError, match="non-finite"):
+        sm.EmbeddingTable(class_names=["a", "b"], vectors=[[bad, 1.0], [0.5, 1.0]])
