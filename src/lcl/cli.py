@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import curriculum, data, experiments, similarity
+from . import _files, curriculum, data, experiments, similarity
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -82,6 +82,16 @@ def _positive_int(text):
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _open_unit(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 1.0:  # NaN fails it too
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
     return value
 
 
@@ -157,10 +167,9 @@ def cmd_run(args):
             raise UsageError(f"{args.config}: LCL configs need [paths] similarity")
         sim = similarity.load_similarity(paths["similarity"])
     inputs = [paths["train"], paths["test"]] + ([paths["similarity"]] if needs_sim else [])
-    try:  # once for the whole grid, before any training
+    # once for the whole grid, before any training
+    with _files.named(", ".join(inputs), UsageError, experiments.ExperimentError):
         experiments.check_inputs(configs, train, test, sim)
-    except experiments.ExperimentError as exc:
-        raise UsageError(f"{', '.join(inputs)}: {exc}") from exc
     out_dir = args.out_dir or paths.get("out_dir", "results")
     results, agg, rank = experiments.run_suite(configs, train, test, sim=sim,
                                                out_dir=out_dir, jobs=args.jobs)
@@ -225,12 +234,12 @@ def build_parser():
                    help="expected embedding dimension")
     p.add_argument("--no-clamp", action="store_true",
                    help="error on negative cosines instead of clamping to 0")
-    p.add_argument("--decay", type=float, default=0.8)
+    p.add_argument("--decay", type=float, default=similarity.SIMRANK_DECAY)
     p.set_defaults(func=cmd_build_sim)
 
     p = sub.add_parser("verify", help="check the curriculum axioms")
     p.add_argument("--sim", required=True, help="similarity CSV")
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=_open_unit, required=True)
     p.add_argument("--horizon", type=int, default=200)
     p.set_defaults(func=cmd_verify)
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _files
 from .similarity import EmbeddingTable
 
 
@@ -172,14 +173,13 @@ def load_dataset(path):
     """Read a dataset CSV written by save_dataset. A file in its layout is
     parsed by numpy's C parser; any other file, or one that parser rejects,
     by the Python parser, which reports malformed entries at path:line."""
-    try:
+    with _files.named(path, DataError):
         with open(path, encoding="utf-8") as fh:
             parsed = _parse_fast(fh)
         meta, labels, features = parsed or _parse_python(path)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    return Dataset(features=features, labels=labels,
-                   num_classes=int(meta["classes"]), split=meta["split"])
+    with _files.named(path, DataError, ValueError):  # a bad `classes=`, or a DataError
+        return Dataset(features=features, labels=labels,
+                       num_classes=int(meta["classes"]), split=meta["split"])
 
 
 def subsample(ds, dr, seed):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import curriculum, model
+from . import _files, curriculum, model
 from .data import subsample
 
 ENCODINGS = ("SL", "LS", "LCL", "KD", "DML")
@@ -47,6 +47,16 @@ def _is_seed(seed):
     return isinstance(seed, numbers.Integral) and seed >= 0
 
 
+def _check_method(encoding, epsilon, error):
+    """Raise error unless encoding is known and has an epsilon in (0, 1) iff LCL."""
+    if encoding not in ENCODINGS:
+        raise error(f"unknown encoding {encoding!r}")
+    if (epsilon is not None) != (encoding == "LCL"):
+        raise error("epsilon is required exactly for LCL")
+    if encoding == "LCL" and not 0.0 < epsilon < 1.0:
+        raise error("epsilon must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One cell of the experiment grid (seeds enumerate paired trials)."""
@@ -67,12 +77,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(self.seeds))
-        if self.encoding not in ENCODINGS:
-            raise ExperimentError(f"unknown encoding {self.encoding!r}")
-        if (self.epsilon is not None) != (self.encoding == "LCL"):
-            raise ExperimentError("epsilon is required exactly for LCL")
-        if self.encoding == "LCL" and not 0.0 < self.epsilon < 1.0:
-            raise ExperimentError("epsilon must lie in (0, 1)")
+        _check_method(self.encoding, self.epsilon, ExperimentError)
         if self.alpha is not None and self.encoding != "LS":
             raise ExperimentError("alpha applies to LS only")
         if self.kd_temperature is not None and self.encoding != "KD":
@@ -430,16 +435,23 @@ AGG_HEADER = ["config_id", "encoding", "epsilon", "alpha", "dr", "n_trials",
               "top1_mean", "top1_std", "top5_mean", "top5_std"]
 
 
-def write_raw_csv(results, path):
+def _write_table(records, header, path):
+    """Write header, then each record's attributes that header names: None
+    as an empty cell, wall_ms with one decimal and any other float as its
+    repr, which reads back exactly."""
+    def cell(name, value):
+        if name == "wall_ms":
+            return f"{value:.1f}"
+        return "" if value is None else repr(value) if isinstance(value, float) else value
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(RAW_HEADER)
-        for r in sorted(results, key=lambda r: (r.config_id, r.seed)):
-            w.writerow([r.config_id, r.encoding,
-                        "" if r.epsilon is None else repr(r.epsilon),
-                        "" if r.alpha is None else repr(r.alpha),
-                        repr(r.dr), r.seed, repr(r.top1), repr(r.top5),
-                        repr(r.final_loss), r.epochs, f"{r.wall_ms:.1f}"])
+        w.writerow(header)
+        w.writerows([cell(name, getattr(r, name)) for name in header] for r in records)
+
+
+def write_raw_csv(results, path):
+    _write_table(sorted(results, key=lambda r: (r.config_id, r.seed)), RAW_HEADER, path)
 
 
 def _optional_float(text):
@@ -451,10 +463,7 @@ def _result_from_row(row):
         raise ValueError(f"expected {len(RAW_HEADER)} cells")
     config_id, encoding = row["config_id"], row["encoding"]
     epsilon, alpha = _optional_float(row["epsilon"]), _optional_float(row["alpha"])
-    if encoding not in ENCODINGS:
-        raise ValueError(f"unknown encoding {encoding!r}")
-    if (epsilon is None) == (encoding == "LCL"):
-        raise ValueError("epsilon is required exactly for LCL")
+    _check_method(encoding, epsilon, ValueError)
     if encoding == "DML":
         label = "DML2" if config_id.endswith("_m2") else "DML1"
     else:
@@ -474,35 +483,22 @@ def read_raw_csv(path):
     """Trial results from a raw CSV written by write_raw_csv, without loss
     histories or parameters. Malformed rows raise ExperimentError naming
     path:line."""
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            missing = set(RAW_HEADER) - set(reader.fieldnames or [])
-            if missing:
-                raise ExperimentError(f"{path}: missing columns {sorted(missing)}")
-            results = []
-            for row in reader:
-                try:
-                    results.append(_result_from_row(row))
-                except ValueError as exc:
-                    raise ExperimentError(f"{path}:{reader.line_num}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ExperimentError(f"{path}: {exc}") from exc
+    with _files.named(path, ExperimentError), open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = set(RAW_HEADER) - set(reader.fieldnames or [])
+        if missing:
+            raise ExperimentError(f"{path}: missing columns {sorted(missing)}")
+        results = []
+        for row in reader:
+            try:
+                results.append(_result_from_row(row))
+            except ValueError as exc:
+                raise ExperimentError(f"{path}:{reader.line_num}: {exc}") from exc
     return results
 
 
 def write_aggregate_csv(rows, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        # std uses divisor n (population convention)
-        w.writerow(AGG_HEADER)
-        for r in rows:
-            w.writerow([r.config_id, r.encoding,
-                        "" if r.epsilon is None else repr(r.epsilon),
-                        "" if r.alpha is None else repr(r.alpha),
-                        repr(r.dr), r.n_trials,
-                        repr(r.top1_mean), repr(r.top1_std),
-                        repr(r.top5_mean), repr(r.top5_std)])
+    _write_table(rows, AGG_HEADER, path)  # std uses divisor n (population convention)
 
 
 def check_rank_cells(cells, cause="configs differ in something other than the method"):
@@ -517,8 +513,8 @@ def check_rank_cells(cells, cause="configs differ in something other than the me
         seen.add(cell)
 
 
-def rank_test_from_results(results, metric="top1"):
-    """Build the methods x settings score table from trial results: methods
+def rank_test_from_results(results):
+    """Build the methods x settings table of top-1 scores: methods
     are encoding+hyperparameter labels, settings are (dr, seed) pairs.
     Returns None when the table is incomplete or too small; two trials in
     one cell raise ExperimentError."""
@@ -529,7 +525,7 @@ def rank_test_from_results(results, metric="top1"):
     row = {s: i for i, s in enumerate(settings)}
     table = np.full((len(settings), len(methods)), np.nan)
     for r in results:
-        table[row[(r.dr, r.seed)], column[r.method_label]] = getattr(r, metric)
+        table[row[(r.dr, r.seed)], column[r.method_label]] = r.top1
     if len(methods) < 2 or len(settings) < 2 or not np.all(np.isfinite(table)):
         return None
     return friedman_iman_davenport(table, methods)

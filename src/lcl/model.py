@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _files
 from .curriculum import TargetVector
 
 PROB_FLOOR = 1e-12
@@ -228,7 +229,7 @@ def save_checkpoint(params, path):
 
 
 def load_checkpoint(path):
-    with open(path, encoding="utf-8") as fh:
+    with _files.named(path, ModelError), open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ModelError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
@@ -246,7 +247,5 @@ def load_checkpoint(path):
             fields[name] = values.reshape(tuple(int(s) for s in shape))
         except ValueError as exc:
             raise ModelError(f"{path}:{i + 1}: bad parameter entry: {exc}") from exc
-    try:
+    with _files.named(path, ModelError, ModelError):  # a shape mismatch or a non-finite entry
         return ClassifierParams(architecture=lines[1], **fields)
-    except ModelError as exc:  # a shape mismatch or a non-finite entry
-        raise ModelError(f"{path}: {exc}") from exc

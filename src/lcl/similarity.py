@@ -10,7 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _files
+
 DOMINANCE_TOL = 1e-12
+SIMRANK_DECAY = 0.8  # simrank's default, and `lcl build-sim --decay`'s
 
 
 class SimilarityError(ValueError):
@@ -148,19 +151,16 @@ def load_embeddings(path, expected_dim=None):
     """Read a whitespace-separated embedding file: one `name f1 ... fd` line
     per class, `#` comments ignored. Line order defines the class index."""
     names, rows = [], []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if len(parts) < 2:
-                    raise SimilarityError(f"{path}:{lineno}: expected a name and values")
-                names.append(parts[0])
-                rows.append(_finite_floats(parts[1:], f"{path}:{lineno}", SimilarityError))
-    except UnicodeDecodeError as exc:
-        raise SimilarityError(f"{path}: {exc}") from exc
+    with _files.named(path, SimilarityError), open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) < 2:
+                raise SimilarityError(f"{path}:{lineno}: expected a name and values")
+            names.append(parts[0])
+            rows.append(_finite_floats(parts[1:], f"{path}:{lineno}", SimilarityError))
     if not names:
         raise SimilarityError(f"{path}: no embedding rows")
     dims = {len(r) for r in rows}
@@ -169,10 +169,8 @@ def load_embeddings(path, expected_dim=None):
     d = dims.pop()
     if expected_dim is not None and d != expected_dim:
         raise SimilarityError(f"{path}: dimension {d}, expected {expected_dim}")
-    try:
+    with _files.named(path, SimilarityError, SimilarityError):
         return EmbeddingTable(class_names=names, vectors=np.array(rows, dtype=float))
-    except SimilarityError as exc:
-        raise SimilarityError(f"{path}: {exc}") from exc
 
 
 def save_embeddings(table, path):
@@ -187,27 +185,22 @@ def load_hierarchy(path):
     """Read an edge-list hierarchy file: `parent child` lines plus a trailing
     `@leaves c1 c2 ...` directive fixing class order."""
     edges, leaves = [], None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if line.startswith("@leaves"):
-                    leaves = line.split()[1:]
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise SimilarityError(f"{path}:{lineno}: expected `parent child`")
-                edges.append((parts[0], parts[1]))
-    except UnicodeDecodeError as exc:
-        raise SimilarityError(f"{path}: {exc}") from exc
+    with _files.named(path, SimilarityError), open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("@leaves"):
+                leaves = line.split()[1:]
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise SimilarityError(f"{path}:{lineno}: expected `parent child`")
+            edges.append((parts[0], parts[1]))
     if leaves is None:
         raise SimilarityError(f"{path}: missing @leaves directive")
-    try:
+    with _files.named(path, SimilarityError, SimilarityError):
         return HierarchyGraph(edges=edges, leaves=leaves)
-    except SimilarityError as exc:
-        raise SimilarityError(f"{path}: {exc}") from exc
 
 
 def cosine(u, v):
@@ -258,7 +251,7 @@ def build_cosine_similarity(table, clamp_negative=True):
     )
 
 
-def simrank(graph, decay=0.8):
+def simrank(graph, decay=SIMRANK_DECAY):
     """Simrank (Jeh & Widom, 2002) over parent (in-neighbor) sets, restricted
     to the leaf classes: the fixed point of S = decay * P S P^T off the
     diagonal and 1 on it, where P averages over a node's parents. Nodes
@@ -320,30 +313,25 @@ def save_similarity(sim, path):
             writer.writerow([repr(float(x)) for x in row])
 
 
-def load_similarity(path, source="external"):
+def load_similarity(path):
     """Read a similarity matrix written by save_similarity."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                names = next(reader)
-            except StopIteration:
-                raise SimilarityFileError(f"{path}: empty similarity file") from None
-            rows = []
-            for row in filter(None, reader):
-                rows.append(_finite_floats(row, f"{path}:{reader.line_num}",
-                                           SimilarityFileError))
-                if len(row) != len(names):
-                    raise SimilarityFileError(f"{path}:{reader.line_num}: {len(row)} entries, "
-                                              f"expected {len(names)}")
-    except UnicodeDecodeError as exc:
-        raise SimilarityFileError(f"{path}: {exc}") from exc
+    with _files.named(path, SimilarityFileError), open(path, encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            names = next(reader)
+        except StopIteration:
+            raise SimilarityFileError(f"{path}: empty similarity file") from None
+        rows = []
+        for row in filter(None, reader):
+            rows.append(_finite_floats(row, f"{path}:{reader.line_num}", SimilarityFileError))
+            if len(row) != len(names):
+                raise SimilarityFileError(f"{path}:{reader.line_num}: {len(row)} entries, "
+                                          f"expected {len(names)}")
     if len(rows) != len(names):
         raise SimilarityFileError(f"{path}: expected {len(names)} rows, got {len(rows)}")
-    try:  # the matrix, not the file's form, is at fault: `lcl verify` exits 1 on it
-        return SimilarityMatrix(entries=np.array(rows), class_names=names, source=source)
-    except SimilarityError as exc:
-        raise SimilarityError(f"{path}: {exc}") from exc
+    # the matrix, not the file's form, is at fault: `lcl verify` exits 1 on it
+    with _files.named(path, SimilarityError, SimilarityError):
+        return SimilarityMatrix(entries=np.array(rows), class_names=names, source="external")
 
 
 def identity_similarity(class_names):

@@ -82,6 +82,23 @@ class TestVerify:
         assert run(["verify", "--sim", str(tmp_path / "nope.csv"),
                     "--epsilon", "0.9"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("epsilon", ["1.5", "nan", "0", "-1"])
+    def test_epsilon_outside_open_unit_is_usage_error(self, tmp_path, capsys, epsilon):
+        # it used to read the file, then fail "before stepping" with exit 1
+        assert run(["verify", "--sim", str(tmp_path / "nope.csv"),
+                    "--epsilon", epsilon]) == cli.EXIT_USAGE
+        assert "argument --epsilon: must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_tied_normalised_rows_fail_before_stepping(self, tmp_path, capsys):
+        # a valid matrix whose row 0 ties its diagonal once divided by the row sum
+        sim = tmp_path / "tie.csv"
+        x = repr(1.0 - 2.0 ** -53)
+        sim.write_text(f"a,b,c,d\n1.0,{x},0.9,0.9\n{x},1.0,0.9,0.9\n"
+                       "0.9,0.9,1.0,0.0\n0.9,0.9,0.0,1.0\n")
+        assert run(["verify", "--sim", str(sim), "--epsilon", "0.9"]) == cli.EXIT_FAIL
+        assert capsys.readouterr().out == ("verification failed before stepping: "
+                                           "row 0: argmax is not the true class\n")
+
     def test_bad_flag_is_usage_error(self):
         assert run(["verify", "--epsilon", "0.9"]) == cli.EXIT_USAGE
 

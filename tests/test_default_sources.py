@@ -1,7 +1,9 @@
 """Each default is written once: `lcl gen-data`'s flags take `SyntheticSpec`'s
-defaults, and a `[grid]` without `seeds` or `drs` takes `ExperimentConfig`'s."""
+defaults, `build-sim --decay` takes simrank's, and a `[grid]` without `seeds`
+or `drs` takes `ExperimentConfig`'s."""
 
 import dataclasses
+import inspect
 
 from lcl import cli, data, experiments as ex, similarity as sm
 
@@ -25,6 +27,12 @@ def test_gen_data_has_one_flag_per_spec_field():
     for f in dataclasses.fields(data.SyntheticSpec):
         assert actions[f.name].default == f.default, f.name
         assert actions[f.name].type is type(f.default), f.name
+
+
+def test_build_sim_decay_is_simrank_default():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    decay = next(a for a in sub.choices["build-sim"]._actions if a.dest == "decay")
+    assert decay.default == inspect.signature(sm.simrank).parameters["decay"].default
 
 
 def test_grid_without_seeds_or_drs_takes_experiment_config_defaults(tmp_path):

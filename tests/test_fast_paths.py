@@ -15,10 +15,14 @@ HEAD = "# classes=5 split=test\nlabel,f1,f2\n"
 
 
 def python_load(path):
-    """The dataset the line-by-line parser alone would build."""
+    """The dataset the line-by-line parser alone would build; its errors, like
+    the loader's, name the file."""
     meta, labels, features = data._parse_python(path)
-    return data.Dataset(features=features, labels=labels,
-                        num_classes=int(meta["classes"]), split=meta["split"])
+    try:
+        return data.Dataset(features=features, labels=labels,
+                            num_classes=int(meta["classes"]), split=meta["split"])
+    except ValueError as exc:
+        raise data.DataError(f"{path}: {exc}") from exc
 
 
 def outcome(load, path):

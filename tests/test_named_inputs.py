@@ -1,6 +1,7 @@
 """Input errors name their file: a non-UTF-8 data, similarity, embedding,
-hierarchy or raw CSV file, an embedding table or similarity matrix that
-breaks an invariant, and a checkpoint whose arrays do not fit together.
+hierarchy, raw CSV or checkpoint file, a dataset, embedding table or
+similarity matrix that breaks an invariant, and a checkpoint whose arrays do
+not fit together.
 Config values are taken literally, `%` included. The schedule's checks and
 cooling step give the bits they gave before they were trimmed."""
 
@@ -20,7 +21,8 @@ NOT_UTF8 = b"a,b\n1.0,0.5\n0.5,1.0\xff\n"
     (sm.load_hierarchy, sm.SimilarityError),
     (sm.load_similarity, sm.SimilarityFileError),
     (ex.read_raw_csv, ex.ExperimentError),
-], ids=["dataset", "embeddings", "hierarchy", "similarity", "raw-csv"])
+    (model.load_checkpoint, model.ModelError),
+], ids=["dataset", "embeddings", "hierarchy", "similarity", "raw-csv", "checkpoint"])
 def test_non_utf8_file_names_the_path_and_the_byte(tmp_path, load, error):
     path = tmp_path / "latin1.csv"
     path.write_bytes(NOT_UTF8)
@@ -34,6 +36,29 @@ def test_cli_names_the_non_utf8_file(tmp_path, capsys):
     assert cli.main(["verify", "--sim", str(path), "--epsilon", "0.9"]) == cli.EXIT_USAGE
     line, = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: {path}: ") and "0xff" in line
+
+
+@pytest.mark.parametrize("rows, reason", [
+    ("0,1.0\n5,2.0\n", "label out of range [0, 2)"),
+    ("0,1.0\n0,2.0\n", "training split is missing classes [1]"),
+], ids=["label-out-of-range", "missing-class"])
+def test_run_names_the_train_csv_of_a_dataset_error(tmp_path, capsys, rows, reason):
+    train, test = tmp_path / "d.csv", tmp_path / "t.csv"
+    train.write_text("# classes=2 split=train\nlabel,f1\n" + rows)
+    test.write_text("# classes=2 split=test\nlabel,f1\n0,1.0\n1,2.0\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[paths]\ntrain = {train}\ntest = {test}\nout_dir = {tmp_path / 'out'}\n"
+                   "[grid]\nencodings = SL\nseeds = 0\n")
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {train}: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_class_count_names_the_file(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("# classes=two split=test\nlabel,f1\n0,1.0\n")
+    with pytest.raises(data.DataError, match=f"^{re.escape(str(path))}: invalid literal"):
+        data.load_dataset(path)
 
 
 def test_percent_in_a_config_value_is_literal(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """`lcl report` shares run's aggregation and rank code; duplicate rank-table
-cells and malformed raw CSVs or checkpoints are typed errors."""
+cells and malformed raw CSVs or checkpoints are typed errors; the result
+tables' bytes are pinned."""
 
 import numpy as np
 import pytest
@@ -105,3 +106,26 @@ def test_truncated_checkpoint_is_model_error(tmp_path):
     path.write_text("\n".join(lines[:-1] + [lines[-1].rsplit(" ", 1)[0]]) + "\n")
     with pytest.raises(model.ModelError):
         model.load_checkpoint(path)
+
+
+def test_result_table_bytes(tmp_path):
+    def trial(encoding, config_id, seed, epsilon=None, alpha=None):
+        return ex.TrialResult(config_id=config_id, method_label=encoding, encoding=encoding,
+                              epsilon=epsilon, alpha=alpha, dr=0.5, seed=seed, top1=0.1,
+                              top5=0.1 + 0.2, final_loss=1 / 3, loss_history=(1 / 3,),
+                              epochs=2, wall_ms=12.345)
+
+    results = [trial("LS", "LS-alpha0.1_dr0.5", 0, alpha=0.1),
+               trial("LCL", "LCL-eps0.9_dr0.5", 1, epsilon=0.9),
+               trial("LCL", "LCL-eps0.9_dr0.5", 0, epsilon=0.9)]
+    ex.write_raw_csv(results, tmp_path / "raw.csv")
+    assert (tmp_path / "raw.csv").read_bytes() == (
+        b"config_id,encoding,epsilon,alpha,dr,seed,top1,top5,final_loss,epochs,wall_ms\n"
+        b"LCL-eps0.9_dr0.5,LCL,0.9,,0.5,0,0.1,0.30000000000000004,0.3333333333333333,2,12.3\n"
+        b"LCL-eps0.9_dr0.5,LCL,0.9,,0.5,1,0.1,0.30000000000000004,0.3333333333333333,2,12.3\n"
+        b"LS-alpha0.1_dr0.5,LS,,0.1,0.5,0,0.1,0.30000000000000004,0.3333333333333333,2,12.3\n")
+    ex.write_aggregate_csv(ex.aggregate(results), tmp_path / "agg.csv")
+    assert (tmp_path / "agg.csv").read_bytes() == (
+        b"config_id,encoding,epsilon,alpha,dr,n_trials,top1_mean,top1_std,top5_mean,top5_std\n"
+        b"LCL-eps0.9_dr0.5,LCL,0.9,,0.5,2,0.1,0.0,0.30000000000000004,0.0\n"
+        b"LS-alpha0.1_dr0.5,LS,,0.1,0.5,1,0.1,0.0,0.30000000000000004,0.0\n")
