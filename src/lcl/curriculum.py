@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _files
+
 SIMPLEX_TOL = 1e-12
 DECAY_TOL = 1e-12
 ENTROPY_TOL = 1e-14
@@ -255,5 +257,4 @@ def save_schedule(schedule, path):
     by a `# epsilon=<e> step=<t>` comment line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# epsilon={schedule.epsilon!r} step={schedule.step_count}\n")
-        for row in schedule.targets:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        _files.write_rows(fh, schedule.targets)

@@ -75,8 +75,9 @@ class SyntheticSpec:
         if min(self.num_superclusters, self.classes_per_supercluster,
                self.dim, self.train_per_class, self.test_per_class) < 1:
             raise DataError("all counts must be >= 1")
-        if min(self.intra_spread, self.inter_spread, self.noise_sigma) <= 0:
-            raise DataError("spreads and noise must be positive")
+        for name in ("intra_spread", "inter_spread", "noise_sigma"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails it too
+                raise DataError(f"{name} must be finite and > 0")
         if self.inter_spread <= self.intra_spread:
             raise DataError("inter_spread must exceed intra_spread")
         if self.seed < 0:
@@ -91,13 +92,10 @@ def save_dataset(ds, path):
     """CSV with a `# classes=<C> split=<split>` metadata line and a
     `label,f1,...,fd` header. Features are written with 17 significant
     digits, which load_dataset reads back exactly."""
-    row_format = "%d" + ",%.17g" * ds.dim + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# classes={ds.num_classes} split={ds.split}\n")
         fh.write("label," + ",".join(f"f{i + 1}" for i in range(ds.dim)) + "\n")
-        # row by row: the whole matrix as Python floats would outweigh the file
-        fh.writelines(row_format % (label, *row.tolist())
-                      for label, row in zip(ds.labels.tolist(), ds.features))
+        _files.write_rows(fh, ds.features, lead=ds.labels.tolist())
 
 
 def _read_metadata(line, meta):

@@ -30,31 +30,8 @@ DEFAULT_TEMPERATURE = 1.0  # KD
 LOSS_LOG_ROWS = 64  # rows whose losses are computed at once, rounded to whole batches
 
 
-def method_label(encoding, epsilon=None, alpha=None, kd_temperature=None):
-    """Encoding plus its own hyperparameter, default filled in, independent
-    of DR/seed."""
-    if encoding == "LCL":
-        return f"LCL(eps={epsilon:g})"
-    if encoding == "LS":
-        return f"LS(alpha={DEFAULT_ALPHA if alpha is None else alpha:g})"
-    if encoding == "KD":
-        t = DEFAULT_TEMPERATURE if kd_temperature is None else kd_temperature
-        return f"KD(T={t:g})"
-    return encoding
-
-
 def _is_seed(seed):
     return isinstance(seed, numbers.Integral) and seed >= 0
-
-
-def _check_method(encoding, epsilon, error):
-    """Raise error unless encoding is known and has an epsilon in (0, 1) iff LCL."""
-    if encoding not in ENCODINGS:
-        raise error(f"unknown encoding {encoding!r}")
-    if (epsilon is not None) != (encoding == "LCL"):
-        raise error("epsilon is required exactly for LCL")
-    if encoding == "LCL" and not 0.0 < epsilon < 1.0:
-        raise error("epsilon must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -77,7 +54,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(self.seeds))
-        _check_method(self.encoding, self.epsilon, ExperimentError)
+        if self.encoding not in ENCODINGS:
+            raise ExperimentError(f"unknown encoding {self.encoding!r}")
+        if (self.epsilon is not None) != (self.encoding == "LCL"):
+            raise ExperimentError("epsilon is required exactly for LCL")
+        if self.encoding == "LCL" and not 0.0 < self.epsilon < 1.0:
+            raise ExperimentError("epsilon must lie in (0, 1)")
         if self.alpha is not None and self.encoding != "LS":
             raise ExperimentError("alpha applies to LS only")
         if self.kd_temperature is not None and self.encoding != "KD":
@@ -116,7 +98,14 @@ class ExperimentConfig:
 
     @property
     def method_label(self):
-        return method_label(self.encoding, self.epsilon, self.alpha, self.kd_temperature)
+        """Encoding plus its own hyperparameter, default filled in; no DR/seed."""
+        if self.encoding == "LCL":
+            return f"LCL(eps={self.epsilon:g})"
+        if self.encoding == "LS":
+            return f"LS(alpha={self.effective_alpha:g})"
+        if self.encoding == "KD":
+            return f"KD(T={self.effective_temperature:g})"
+        return self.encoding
 
     @property
     def config_id(self):
@@ -463,26 +452,27 @@ def _result_from_row(row):
         raise ValueError(f"expected {len(RAW_HEADER)} cells")
     config_id, encoding = row["config_id"], row["encoding"]
     epsilon, alpha = _optional_float(row["epsilon"]), _optional_float(row["alpha"])
-    _check_method(encoding, epsilon, ValueError)
-    if encoding == "DML":
-        label = "DML2" if config_id.endswith("_m2") else "DML1"
-    else:
-        # the raw CSV has no temperature column; config_id starts "KD-T<T>_"
-        kd = re.match(r"KD-T([^_]+)_", config_id)
-        label = method_label(encoding, epsilon, alpha, float(kd.group(1)) if kd else None)
+    # the raw CSV has no temperature column; a KD config_id starts "KD-T<T>_"
+    kd = re.match(r"KD-T([^_]+)_", config_id) if encoding == "KD" else None
+    config = ExperimentConfig(
+        encoding=encoding, dr=float(row["dr"]), seeds=(int(row["seed"]),),
+        epsilon=epsilon, alpha=alpha, kd_temperature=float(kd.group(1)) if kd else None,
+        epochs=int(row["epochs"]))
+    label = config.method_label if encoding != "DML" else \
+        "DML2" if config_id.endswith("_m2") else "DML1"
     final_loss = float(row["final_loss"])
     return TrialResult(
         config_id=config_id, method_label=label, encoding=encoding,
-        epsilon=epsilon, alpha=alpha, dr=float(row["dr"]), seed=int(row["seed"]),
+        epsilon=epsilon, alpha=alpha, dr=config.dr, seed=config.seeds[0],
         top1=float(row["top1"]), top5=float(row["top5"]), final_loss=final_loss,
-        loss_history=(final_loss,), epochs=int(row["epochs"]),
+        loss_history=(final_loss,), epochs=config.epochs,
         wall_ms=float(row["wall_ms"]))
 
 
 def read_raw_csv(path):
     """Trial results from a raw CSV written by write_raw_csv, without loss
-    histories or parameters. Malformed rows raise ExperimentError naming
-    path:line."""
+    histories or parameters. A malformed row, or one whose config a grid
+    cell would reject, raises ExperimentError naming path:line."""
     with _files.named(path, ExperimentError), open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(RAW_HEADER) - set(reader.fieldnames or [])

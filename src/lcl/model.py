@@ -223,9 +223,8 @@ def save_checkpoint(params, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{CHECKPOINT_MAGIC}\n{params.architecture}\n")
         for name, arr in zip(LAYOUT[params.architecture], params.arrays()):
-            shape = " ".join(str(s) for s in arr.shape)
-            fh.write(f"{name} {shape}\n")
-            fh.write(" ".join(repr(float(v)) for v in arr.ravel()) + "\n")
+            fh.write(f"{name} {' '.join(map(str, arr.shape))}\n")
+            _files.write_rows(fh, arr.reshape(1, -1), sep=" ")
 
 
 def load_checkpoint(path):
@@ -241,11 +240,11 @@ def load_checkpoint(path):
                          f"architecture {lines[1]!r}")
     fields = {}
     for i in range(2, len(lines), 2):
+        name, *shape = lines[i].split()
+        values = _files.floats(lines[i + 1].split(), f"{path}:{i + 2}", ModelError)
         try:
-            name, *shape = lines[i].split()
-            values = np.array([float(v) for v in lines[i + 1].split()])
-            fields[name] = values.reshape(tuple(int(s) for s in shape))
+            fields[name] = np.array(values).reshape(tuple(int(s) for s in shape))
         except ValueError as exc:
             raise ModelError(f"{path}:{i + 1}: bad parameter entry: {exc}") from exc
-    with _files.named(path, ModelError, ModelError):  # a shape mismatch or a non-finite entry
+    with _files.named(path, ModelError, ModelError):  # arrays whose shapes do not fit
         return ClassifierParams(architecture=lines[1], **fields)

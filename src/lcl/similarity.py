@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import graphlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,8 +106,10 @@ class HierarchyGraph:
         if len(set(self.leaves)) != len(self.leaves):
             raise SimilarityError("duplicate leaf class")
         preds = {}
-        for p, c in self.edges:
-            preds.setdefault(c, []).append(p)
+        for p, c in self.edges:  # simrank averages over a set of parents
+            if p in preds.setdefault(c, []):
+                raise SimilarityError(f"repeated edge {p!r} -> {c!r}")
+            preds[c].append(p)
         try:
             graphlib.TopologicalSorter(preds).prepare()
         except graphlib.CycleError as exc:  # args[1]: the cycle, parent -> child
@@ -134,19 +135,6 @@ class HierarchyGraph:
         return tuple(p for p, c in self.edges if c == node)
 
 
-def _finite_floats(tokens, where, error):
-    """The tokens as floats; `error` names `where` at the first token that is
-    not a number or not finite (`nan`, `inf`, or a value that overflows)."""
-    try:
-        values = [float(x) for x in tokens]
-    except ValueError as exc:
-        raise error(f"{where}: {exc}") from exc
-    bad = [x for x, v in zip(tokens, values) if not math.isfinite(v)]
-    if bad:
-        raise error(f"{where}: non-finite entry {bad[0]!r}")
-    return values
-
-
 def load_embeddings(path, expected_dim=None):
     """Read a whitespace-separated embedding file: one `name f1 ... fd` line
     per class, `#` comments ignored. Line order defines the class index."""
@@ -160,7 +148,7 @@ def load_embeddings(path, expected_dim=None):
             if len(parts) < 2:
                 raise SimilarityError(f"{path}:{lineno}: expected a name and values")
             names.append(parts[0])
-            rows.append(_finite_floats(parts[1:], f"{path}:{lineno}", SimilarityError))
+            rows.append(_files.floats(parts[1:], f"{path}:{lineno}", SimilarityError))
     if not names:
         raise SimilarityError(f"{path}: no embedding rows")
     dims = {len(r) for r in rows}
@@ -177,8 +165,7 @@ def save_embeddings(table, path):
     """Write the table as load_embeddings reads it: one `name f1 ... fd`
     line per class, values at full double precision."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for name, row in zip(table.class_names, table.vectors):
-            fh.write(name + " " + " ".join(repr(float(x)) for x in row) + "\n")
+        _files.write_rows(fh, table.vectors, sep=" ", lead=table.class_names)
 
 
 def load_hierarchy(path):
@@ -307,10 +294,8 @@ def save_similarity(sim, path):
     """Write a similarity matrix as CSV: header of class names, then C rows
     at full double precision."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(sim.class_names)
-        for row in sim.entries:
-            writer.writerow([repr(float(x)) for x in row])
+        csv.writer(fh, lineterminator="\n").writerow(sim.class_names)
+        _files.write_rows(fh, sim.entries)
 
 
 def load_similarity(path):
@@ -323,7 +308,7 @@ def load_similarity(path):
             raise SimilarityFileError(f"{path}: empty similarity file") from None
         rows = []
         for row in filter(None, reader):
-            rows.append(_finite_floats(row, f"{path}:{reader.line_num}", SimilarityFileError))
+            rows.append(_files.floats(row, f"{path}:{reader.line_num}", SimilarityFileError))
             if len(row) != len(names):
                 raise SimilarityFileError(f"{path}:{reader.line_num}: {len(row)} entries, "
                                           f"expected {len(names)}")

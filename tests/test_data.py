@@ -130,6 +130,22 @@ class TestSyntheticSpec:
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["intra_spread", "inter_spread", "noise_sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_spread_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(data.DataError, match=f"^{name} must be finite and > 0$"):
+            data.SyntheticSpec(**{name: value})
+
+    @pytest.mark.parametrize("flag", ["intra-spread", "inter-spread", "noise-sigma"])
+    def test_gen_data_nan_spread_names_the_field(self, tmp_path, capsys, flag):
+        # used to fail later, at the generated data: `non-finite feature entries`
+        out = tmp_path / "out"
+        assert cli.main(["gen-data", f"--{flag}=nan", "--out-dir", str(out)]) \
+            == cli.EXIT_USAGE
+        name = flag.replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be finite and > 0\n"
+        assert not out.exists()
+
     def test_num_classes(self):
         spec = data.SyntheticSpec(3, 4, 8, 5, 5)
         assert spec.num_classes == 12

@@ -1,13 +1,13 @@
-"""Non-finite similarity, embedding and target entries are rejected by name: a NaN or
-inf must fail the checks it used to slip past, not be reported as some
-other broken property."""
+"""Non-finite similarity, embedding, target and checkpoint entries are
+rejected by name: a NaN or inf must fail the checks it used to slip past,
+not be reported as some other broken property."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from lcl import cli, curriculum, similarity as sm
+from lcl import cli, curriculum, model, similarity as sm
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
@@ -76,3 +76,14 @@ def test_build_sim_exits_2_on_non_finite_embedding_without_warning(tmp_path, cap
 def test_embedding_table_rejects_non_finite_vectors(bad):
     with pytest.raises(sm.SimilarityError, match="non-finite"):
         sm.EmbeddingTable(class_names=["a", "b"], vectors=[[bad, 1.0], [0.5, 1.0]])
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+def test_load_checkpoint_names_path_and_line(tmp_path, token):
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(model.init_params("linear", 2, 3, seed=0), path)
+    lines = path.read_text().splitlines()
+    lines[3] = " ".join([token] + lines[3].split()[1:])  # the W_out values
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(model.ModelError, match=f"^{path}:4: non-finite entry '{token}'$"):
+        model.load_checkpoint(path)

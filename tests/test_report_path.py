@@ -2,6 +2,8 @@
 cells and malformed raw CSVs or checkpoints are typed errors; the result
 tables' bytes are pinned."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,27 @@ def test_non_numeric_raw_cell_names_path_and_line(task, tmp_path, capsys):
         ex.read_raw_csv(path)
     assert cli.main(["report", str(path), "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
     assert f"{path}:3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cells, reason", [
+    ({"dr": "nan"}, "dr must lie in (0, 1]"),
+    ({"dr": "-2"}, "dr must lie in (0, 1]"),
+    ({"seed": "-3"}, "seeds must be integers >= 0, got (-3,)"),
+    ({"epochs": "0"}, "epochs, batch_size and hidden must be >= 1"),
+    ({"alpha": "0.1"}, "alpha applies to LS only"),
+    ({"config_id": "KD-T0_dr0.5", "encoding": "KD"}, "kd_temperature must be finite and > 0"),
+], ids=["dr-nan", "dr-negative", "seed-negative", "epochs-zero", "alpha-on-SL", "KD-T0"])
+def test_raw_row_gets_the_grid_cell_checks(tmp_path, capsys, cells, reason):
+    row = dict(config_id="SL_dr0.5", encoding="SL", epsilon="", alpha="", dr="0.5", seed="0",
+               top1="0.5", top5="0.75", final_loss="1.0", epochs="3", wall_ms="1.0")
+    row.update(cells)
+    path = tmp_path / "raw.csv"
+    path.write_text(",".join(ex.RAW_HEADER) + "\n" + ",".join(row[k] for k in ex.RAW_HEADER)
+                    + "\n")
+    with pytest.raises(ex.ExperimentError, match=f"^{re.escape(f'{path}:2: {reason}')}$"):
+        ex.read_raw_csv(path)
+    assert cli.main(["report", str(path), "--out-dir", str(tmp_path / "r")]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {path}:2: {reason}\n"
 
 
 def test_truncated_checkpoint_is_model_error(tmp_path):

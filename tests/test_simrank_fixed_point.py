@@ -1,5 +1,6 @@
 """simrank computed to its exact fixed point on acyclic hierarchies, checked
-against the pairwise loop it replaced, and cyclic hierarchies rejected."""
+against the pairwise loop it replaced, and cyclic hierarchies and repeated
+edges rejected."""
 
 import numpy as np
 import pytest
@@ -145,6 +146,29 @@ class TestCycles:
                          "--out", str(tmp_path / "sim.csv")])
         assert code == cli.EXIT_USAGE
         assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "sim.csv").exists()
+
+
+class TestRepeatedEdge:
+    EDGES = [("r", "p"), ("r", "q"), ("p", "a"), ("q", "a"), ("q", "b")]
+
+    def test_parent_set_average(self):
+        # s(p, q) = 0.8; s(a, b) = 0.8 * (s(p, q) + s(q, q)) / 2
+        sim = sm.simrank(sm.HierarchyGraph(edges=self.EDGES, leaves=["a", "b"]), decay=0.8)
+        assert sim.entries[0, 1] == pytest.approx(0.72, abs=1e-15)
+
+    def test_repeated_edge_rejected_and_named(self):
+        # counted twice, p would weigh 2/3 of a's parents: s(a, b) = 0.6933
+        with pytest.raises(sm.SimilarityError, match="^repeated edge 'p' -> 'a'$"):
+            sm.HierarchyGraph(edges=self.EDGES + [("p", "a")], leaves=["a", "b"])
+
+    def test_build_sim_names_the_file_and_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "h.txt"
+        path.write_text("r p\nr q\np a\np a\nq a\nq b\n@leaves a b\n")
+        code = cli.main(["build-sim", "--kind", "hierarchy", "--in", str(path),
+                         "--out", str(tmp_path / "sim.csv")])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {path}: repeated edge 'p' -> 'a'\n"
         assert not (tmp_path / "sim.csv").exists()
 
 
