@@ -55,16 +55,17 @@ class TargetSchedule:
         c = t.shape[0]
         if t.ndim != 2 or t.shape[1] != c:
             raise CurriculumError("targets must be a square matrix")
-        # written so that a NaN entry fails the test
-        if not ((t >= 0.0).all() and np.abs(t.sum(axis=1) - 1.0).max() <= SIMPLEX_TOL):
+        # written so that a NaN entry fails the test: the min and max propagate it
+        if not (np.minimum.reduce(t, axis=None, initial=0.0) >= 0.0 and np.maximum.reduce(
+                np.abs(np.add.reduce(t, axis=1) - 1.0), axis=None) <= SIMPLEX_TOL):
             raise CurriculumError("every row must be on the probability simplex")
         # each diagonal entry strictly above its row's off-diagonal maximum;
         # a NaN anywhere in a row fails the comparison
         off = t.copy()
-        off.flat[::c + 1] = -np.inf
-        bad = np.flatnonzero(~(t.diagonal() > off.max(axis=1)))
-        if bad.size:
-            raise CurriculumError(f"row {bad[0]}: argmax is not the true class")
+        off.reshape(-1)[::c + 1] = -np.inf  # a C-ordered copy: reshape is a view
+        bad = ~(t.diagonal() > np.maximum.reduce(off, axis=1))
+        if np.logical_or.reduce(bad):
+            raise CurriculumError(f"row {bad.argmax()}: argmax is not the true class")
 
     @property
     def num_classes(self):
@@ -89,7 +90,7 @@ def step_row(row, true_class, epsilon):
 
 
 def _step_matrix(t, epsilon):
-    denom = 1.0 + epsilon * (t.sum(axis=1) - t.diagonal())
+    denom = 1.0 + epsilon * (np.add.reduce(t, axis=1) - t.diagonal())
     out = epsilon * t
     out /= denom[:, None]
     out.flat[::t.shape[0] + 1] = 1.0 / denom

@@ -151,15 +151,20 @@ def topk_accuracy(pred_probs, labels, k):
         raise ExperimentError(f"k={k} out of range for C={probs.shape[1]}")
     if labels.shape != probs.shape[:1] or labels.min() < 0 or labels.max() >= probs.shape[1]:
         raise ExperimentError(f"need one label in [0, {probs.shape[1]}) per row")
+    return _topk_accuracies(probs, labels, (k,))[0]
+
+
+def _topk_accuracies(probs, labels, ks):
+    """topk_accuracy for each k in ks from one ranking of checked inputs."""
     # NaN has no place in the order below, so non-finite entries are rejected
     if not np.isfinite(probs).all():
         raise ExperimentError("non-finite prediction entries")
     # the true class's 0-based rank in the order a stable argsort of -probs
-    # gives: #greater plus #equal at a lower index
+    # gives: #greater plus #equal at a lower index, two disjoint sets counted at once
     true = probs[np.arange(probs.shape[0]), labels][:, None]
     lower = np.arange(probs.shape[1]) < labels[:, None]
-    rank = (probs > true).sum(axis=1) + ((probs == true) & lower).sum(axis=1)
-    return float(np.mean(rank < k))
+    rank = np.add.reduce((probs > true) | ((probs == true) & lower), axis=1)
+    return [float(np.mean(rank < k)) for k in ks]
 
 
 def _rng_streams(seed):
@@ -178,13 +183,16 @@ def _log_losses(pending, targets, b, lam, out):
     be short) of the pending (M, b, C) predictions: cross-entropy, plus
     KL(peer || own) for a DML pair, plus the lam * regularizer out holds."""
     preds = np.concatenate(pending, axis=1)
-    ce = -np.sum(targets * np.log(np.maximum(preds, model.PROB_FLOOR)), axis=-1)
+    terms = np.maximum(preds, model.PROB_FLOOR)
+    np.log(terms, out=terms)
+    terms *= targets
+    ce = -np.add.reduce(terms, axis=-1)
     if len(preds) == 2:
         ce += model.kl_rows(preds[::-1], preds)
     full = len(targets) // b
-    means = ce[:, :full * b].reshape(len(ce), full, b).sum(axis=-1) / b
+    means = np.add.reduce(ce[:, :full * b].reshape(len(ce), full, b), axis=-1) / b
     if full < out.shape[1]:
-        means = np.hstack([means, ce[:, full * b:].sum(axis=-1, keepdims=True)
+        means = np.hstack([means, np.add.reduce(ce[:, full * b:], axis=-1, keepdims=True)
                            / (len(targets) - full * b)])
     out[:] = means + out if lam else means
 
@@ -213,19 +221,21 @@ def _train(config, models, xs, index, table_at, shuffle_rng):
                 xb, tb = xs_rows[start:start + b], targets_rows[start:start + b]
                 outs = [model.forward_batch(p, xb) for p in models]
                 preds = [pred for pred, _ in outs]
-                errs = [pred - tb for pred in preds]
-                if len(models) == 2:  # mimicry: KL(peer || own), logit error own - peer
-                    errs = [errs[0] + (preds[0] - preds[1]), errs[1] + (preds[1] - preds[0])]
                 pending.append(preds)
-                for m, (params, (_, hidden)) in enumerate(zip(models, outs)):
+                for m, (pred, hidden) in enumerate(outs):
+                    err = pred - tb
+                    if len(preds) == 2:  # mimicry: KL(peer || own), logit error own - peer
+                        err += pred - preds[1 - m]
+                    params = models[m]
                     if lam:  # the logged loss takes the regularizer before the step
                         losses[m, (first + start) // b] = lam * model.regularizer(params)
-                    grads = model.gradient_from_arrays(params, xb, errs[m], lam, hidden)
+                    grads = model.gradient_from_arrays(params, xb, err, lam, hidden)
                     models[m] = model.sgd_step(params, grads, lr)
             _log_losses(pending, targets_rows, b, lam,
                         losses[:, first // b:first // b + len(pending)])
-        history[epoch] = losses.mean(axis=1)
-        if not np.isfinite(history[epoch]).all():
+        # the sum over the batches divided by their count is what mean() computes
+        history[epoch] = np.add.reduce(losses, axis=1) / losses.shape[1]
+        if not np.logical_and.reduce(np.isfinite(history[epoch])):
             raise model.ModelError(f"epoch {epoch + 1}/{config.epochs}: non-finite loss")
     if not all(params.is_finite() for params in models):
         raise model.ModelError(f"epoch {config.epochs}/{config.epochs}: non-finite parameters")
@@ -233,10 +243,9 @@ def _train(config, models, xs, index, table_at, shuffle_rng):
 
 
 def _evaluate(params, test):
+    """Top-1 and top-5 accuracy (top-C when C < 5) of params on the test set."""
     preds = model.forward(params, test.features)
-    k5 = min(5, test.num_classes)
-    return (topk_accuracy(preds, test.labels, 1),
-            topk_accuracy(preds, test.labels, k5))
+    return tuple(_topk_accuracies(preds, test.labels, (1, min(5, test.num_classes))))
 
 
 def check_inputs(configs, train, test, sim=None):

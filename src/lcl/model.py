@@ -66,12 +66,13 @@ class ClassifierParams:
 GradientBundle = ClassifierParams
 
 
-def _unchecked(architecture, arrays):
-    """ClassifierParams from arrays in LAYOUT order, skipping the constructor's
-    checks: for results computed from checked parameters, whose finiteness the
-    training loop checks at epoch and trial boundaries."""
+def _unchecked(architecture, fields):
+    """ClassifierParams with fields, its arrays by LAYOUT name, as its attribute
+    dict, skipping the constructor's checks: for results of checked parameters,
+    whose finiteness the training loop checks at epoch and trial boundaries."""
+    fields["architecture"] = architecture
     out = object.__new__(ClassifierParams)
-    out.__dict__.update(zip(LAYOUT[architecture], arrays), architecture=architecture)
+    object.__setattr__(out, "__dict__", fields)
     return out
 
 
@@ -91,10 +92,11 @@ def init_params(architecture, input_dim, num_classes, hidden=64, seed=0):
 
 
 def _softmax(logits):
-    # max-subtraction keeps exp() in range; exp and the division reuse z
-    z = logits - logits.max(axis=-1, keepdims=True)
+    # max-subtraction keeps exp() in range; exp and the division reuse z; the
+    # ufunc reductions are what ndarray.max and .sum call, minus a wrapper
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -166,9 +168,9 @@ def _batch_arrays(batch):
 
 def regularizer(params):
     """Half the summed squared weights; biases excluded."""
-    r = 0.5 * np.sum(params.W_out ** 2)
+    r = 0.5 * np.add.reduce(params.W_out * params.W_out, axis=None)
     if params.architecture == "mlp1":
-        r += 0.5 * np.sum(params.W1 ** 2)
+        r += 0.5 * np.add.reduce(params.W1 * params.W1, axis=None)
     return float(r)
 
 
@@ -197,14 +199,15 @@ def gradient_from_arrays(params, xs, err, lam=0.0, hidden=None):
     the hidden layer forward_batch returned for xs; None recomputes it."""
     err = err / xs.shape[0]
     if params.architecture == "linear":
-        grads = [xs.T @ err, err.sum(axis=0)]
+        grads = {"W_out": xs.T @ err, "b_out": np.add.reduce(err, axis=0)}
     else:
         pre, act = _logits(params, xs)[1] if hidden is None else hidden
         back = (err @ params.W_out.T) * (pre > 0.0)
-        grads = [xs.T @ back, back.sum(axis=0), act.T @ err, err.sum(axis=0)]
+        grads = {"W1": xs.T @ back, "b1": np.add.reduce(back, axis=0),
+                 "W_out": act.T @ err, "b_out": np.add.reduce(err, axis=0)}
     if lam:  # weight decay on the weights, every other array in LAYOUT order
-        for g, w in zip(grads[::2], params.arrays()[::2]):
-            g += lam * w
+        for name in LAYOUT[params.architecture][::2]:
+            grads[name] += lam * getattr(params, name)
     return _unchecked(params.architecture, grads)
 
 
@@ -213,8 +216,10 @@ def sgd_step(params, grads, lr):
     the result skips the ClassifierParams checks."""
     if grads.architecture != params.architecture:
         raise ModelError("gradient/parameter architecture mismatch")
-    return _unchecked(params.architecture, [getattr(params, name) - lr * getattr(grads, name)
-                                            for name in LAYOUT[params.architecture]])
+    old, step, new = vars(params), vars(grads), {}
+    for name in LAYOUT[params.architecture]:
+        new[name] = old[name] - lr * step[name]
+    return _unchecked(params.architecture, new)
 
 
 def save_checkpoint(params, path):

@@ -23,6 +23,13 @@ class SimilarityFileError(SimilarityError):
     """Malformed similarity file: empty, non-numeric, ragged or short of rows."""
 
 
+def _largest_entry(d):
+    """The largest magnitude an entry of a d-vector may have so that the d
+    squares a norm sums stay finite. At sqrt(max / d) the rounded sum can
+    still reach inf (it does at d = 3), so the bound leaves one square's room."""
+    return np.sqrt(np.finfo(float).max / (d + 1))
+
+
 @dataclass(frozen=True)
 class EmbeddingTable:
     """Per-class real vectors, one row per class, in class-index order."""
@@ -40,6 +47,11 @@ class EmbeddingTable:
             raise SimilarityError("class name count does not match row count")
         if not np.all(np.isfinite(vecs)):
             raise SimilarityError("non-finite vector entries")
+        limit = _largest_entry(vecs.shape[1])
+        too_large = np.flatnonzero((np.abs(vecs) > limit).any(axis=1))
+        if too_large.size:
+            raise SimilarityError(f"entry above {limit:.6g} for class "
+                                  f"{self.class_names[too_large[0]]!r} overflows its norm")
         if len(set(self.class_names)) != len(self.class_names):
             raise SimilarityError("duplicate class name")
         norms = np.linalg.norm(vecs, axis=1)
@@ -194,6 +206,9 @@ def cosine(u, v):
     """Cosine similarity <u,v> / (|u| |v|) of two nonzero vectors."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    limit = _largest_entry(max(u.size, v.size))
+    if (np.abs(u) > limit).any() or (np.abs(v) > limit).any():
+        raise SimilarityError(f"vector entry above {limit:.6g} overflows its norm")
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:

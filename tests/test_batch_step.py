@@ -234,3 +234,31 @@ def test_public_forward_still_rejects_non_finite_inputs(fn, bad):
     for x in (np.array([0.0, bad, 1.0]), np.array([[0.0, 1.0, 2.0], [bad, 0.0, 0.0]])):
         with pytest.raises(model.ModelError, match="non-finite input"):
             fn(params, x)
+
+
+@pytest.mark.parametrize("dr", [1.0, 0.3])
+@pytest.mark.parametrize("encoding", ex.ENCODINGS)
+def test_one_public_step_per_model_per_batch(task, monkeypatch, encoding, dr):
+    """Every batch of every model goes through the public forward_batch,
+    gradient_from_arrays and sgd_step once: epochs * ceil(n / b) calls for one
+    model, twice that for KD (teacher, then student) and for a DML pair."""
+    calls = {name: 0 for name in ("forward_batch", "gradient_from_arrays", "sgd_step")}
+
+    def counted(name):
+        fn = getattr(model, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(model, name, counted(name))
+    train, test, sim = task
+    cfg = ex.ExperimentConfig(encoding=encoding, dr=dr, epochs=3, batch_size=5, seeds=(1,),
+                              **HYPERPARAMS[encoding])
+    ex.run_trial(cfg, 1, train, test, sim)
+    n = data.subsample(train, dr, 1).num_examples
+    models = 2 if encoding in ("KD", "DML") else 1
+    expected = models * cfg.epochs * -(-n // cfg.batch_size)
+    assert calls == dict.fromkeys(calls, expected)

@@ -36,13 +36,26 @@ class TestConstruction:
         with pytest.raises(cur.CurriculumError):
             schedule_from(np.eye(2), 0.0)
 
-    def test_non_simplex_rejected(self):
+    @pytest.mark.parametrize("matrix", [
+        [[0.8, 0.3], [0.2, 0.8]],
+        [[1.1, -0.1], [0.2, 0.8]],  # a negative entry in a row that sums to 1
+        [[0.9, 0.1], [np.nan, 1.0]],
+        [[np.nan, 0.1], [0.2, 0.8]],  # NaN on the diagonal
+        [[0.9, 0.1, 0.0], [0.1, 0.8, 0.1], [0.0, 0.5, 0.5 + 1e-11]],  # sum off by 1e-11
+    ])
+    def test_non_simplex_rejected(self, matrix):
         with pytest.raises(cur.CurriculumError):
-            schedule_from([[0.8, 0.3], [0.2, 0.8]], 0.9)
+            schedule_from(matrix, 0.9)
 
-    def test_wrong_argmax_rejected(self):
+    @pytest.mark.parametrize("matrix", [
+        [[0.4, 0.6], [0.2, 0.8]],
+        [[0.5, 0.5], [0.2, 0.8]],  # a tie is not a strict maximum
+        [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.6, 0.3]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]],  # one-hot off the diagonal
+    ])
+    def test_wrong_argmax_rejected(self, matrix):
         with pytest.raises(cur.CurriculumError):
-            schedule_from([[0.4, 0.6], [0.2, 0.8]], 0.9)
+            schedule_from(matrix, 0.9)
 
     def test_target_vector_simplex(self):
         with pytest.raises(cur.CurriculumError):

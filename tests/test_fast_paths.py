@@ -1,7 +1,9 @@
 """Parity of the vectorised paths with the code they replaced: the numpy C
 reader of dataset CSVs against the line-by-line parser, the 17-digit writer's
-round trip, rank-count top-k against a stable argsort, and verify_curriculum
-against its former per-step code, kept here as the reference."""
+round trip, rank-count top-k against a stable argsort, verify_curriculum
+against its former per-step code, kept here as the reference, and the batch
+step's forward, gradient, SGD step and regularizer against their former
+numpy spellings, bit for bit."""
 
 import types
 import warnings
@@ -159,14 +161,28 @@ class TestTopkByRank:
             for k in range(1, c + 1):
                 assert ex.topk_accuracy(probs, labels, k) == reference_topk(probs, labels, k)
 
-    def test_evaluate_matches_reference(self):
+    @pytest.mark.parametrize("classes, probs", [
+        (7, "forward"), (3, "forward"), (1, "forward"),  # C < 5: top-5 is top-C
+        (4, "uniform"),  # zero parameters: every class ties
+        (6, "signed zeros"),  # few distinct values, 0.0 and -0.0 among them
+    ])
+    def test_evaluate_matches_reference(self, monkeypatch, classes, probs):
         rng = np.random.default_rng(3)
         test = data.Dataset(features=rng.normal(size=(300, 6)),
-                            labels=rng.integers(0, 7, size=300), num_classes=7, split="test")
-        params = model.init_params("mlp1", 6, 7, hidden=5, seed=rng)
+                            labels=rng.integers(0, classes, size=300), num_classes=classes,
+                            split="test")
+        params = model.init_params("mlp1", 6, classes, hidden=5, seed=rng)
+        if probs == "uniform":
+            params = model.ClassifierParams("mlp1", *(np.zeros_like(a) for a in (
+                params.W_out, params.b_out, params.W1, params.b1)))
         preds = model.forward(params, test.features)
+        if probs == "signed zeros":
+            preds = rng.integers(0, 3, size=preds.shape) / 2.0
+            preds[rng.random(size=preds.shape) < 0.2] = -0.0
+            assert len(set(np.signbit(preds[preds == 0.0]))) == 2  # both zeros occur
+            monkeypatch.setattr(model, "forward", lambda params, x: preds)
         assert ex._evaluate(params, test) == (reference_topk(preds, test.labels, 1),
-                                             reference_topk(preds, test.labels, 5))
+                                             reference_topk(preds, test.labels, min(5, classes)))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_probabilities_rejected(self, value):
@@ -317,3 +333,70 @@ class TestVerifyMatchesFormerCode:
         expected = eps * t / denom[:, None]
         expected[np.arange(9), np.arange(9)] = 1.0 / denom
         assert cur.step(schedule).targets.tobytes() == expected.tobytes()
+
+
+def laid_out(a, layout):
+    """The 2-D array a as a C-ordered, an F-ordered or a strided (every other
+    column of a wider array) array of the same values."""
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "sliced":
+        wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+        wide[:, ::2] = a
+        return wide[:, ::2]
+    return np.ascontiguousarray(a)
+
+
+def former_step(params, xs, err, lam, lr):
+    """Forward pass, gradient and SGD step as written with @, ndarray.max/.sum
+    and np.sum(W ** 2) before the batch step shed its numpy wrappers."""
+    if params.architecture == "linear":
+        logits = xs @ params.W_out + params.b_out
+    else:
+        pre = xs @ params.W1 + params.b1
+        act = np.maximum(pre, 0.0)
+        logits = act @ params.W_out + params.b_out
+    z = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    err = err / xs.shape[0]
+    if params.architecture == "linear":
+        grads = [xs.T @ err + lam * params.W_out, err.sum(axis=0)]
+    else:
+        back = (err @ params.W_out.T) * (pre > 0.0)
+        grads = [xs.T @ back + lam * params.W1, back.sum(axis=0),
+                 act.T @ err + lam * params.W_out, err.sum(axis=0)]
+    stepped = [w - lr * g for w, g in zip(params.arrays(), grads)]
+    reg = 0.5 * np.sum(params.W_out ** 2)
+    if params.architecture == "mlp1":
+        reg += 0.5 * np.sum(params.W1 ** 2)
+    return z, grads, stepped, float(reg)
+
+
+SHAPES = [(1, 1, 1, 1), (1, 7, 3, 5), (4, 32, 64, 20), (5, 2, 9, 1), (32, 64, 64, 50),
+          (150, 130, 70, 200)]  # (rows, d, hidden, C); the last spans numpy's sum blocks
+
+
+class TestBatchStepBits:
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    @pytest.mark.parametrize("architecture", ["linear", "mlp1"])
+    def test_step_matches_former_spelling(self, architecture, layout, lam):
+        rng = np.random.default_rng(13)
+        for n, d, h, c in SHAPES:
+            params = model.init_params(architecture, d, c, hidden=h, seed=rng)
+            params = model.ClassifierParams(architecture, **{
+                name: laid_out(arr * 40.0, layout) if arr.ndim == 2 else arr + 0.5
+                for name, arr in zip(model.LAYOUT[architecture], params.arrays())})
+            xs = laid_out(rng.normal(size=(n, d)), layout)
+            err = rng.normal(size=(n, c))
+            want_pred, want_grads, want_stepped, want_reg = former_step(params, xs, err, lam, 0.1)
+            pred, hidden = model.forward_batch(params, xs)
+            grads = model.gradient_from_arrays(params, xs, err, lam, hidden)
+            stepped = model.sgd_step(params, grads, 0.1)
+            assert pred.tobytes() == want_pred.tobytes()
+            assert model.forward(params, xs).tobytes() == want_pred.tobytes()
+            assert [g.tobytes() for g in grads.arrays()] == [g.tobytes() for g in want_grads]
+            assert [w.tobytes() for w in stepped.arrays()] == [w.tobytes() for w in want_stepped]
+            assert np.float64(model.regularizer(params)).tobytes() == \
+                np.float64(want_reg).tobytes()

@@ -38,13 +38,12 @@ def test_similarity_roundtrip_bitwise(tmp_path):
 
 
 def test_embedding_roundtrip_bitwise(tmp_path):
-    vectors = np.array([EXTREMES, [1.0, *EXTREMES[:2]]])
+    # the table rejects an entry whose square overflows the norm, so the
+    # largest value it holds takes the place of 1.8e308
+    vectors = np.array([[*EXTREMES[:2], sm._largest_entry(3)], [1.0, *EXTREMES[:2]]])
     path = tmp_path / "emb.txt"
-    # the table's norm check squares 1.8e308, which overflows to inf (still
-    # nonzero, so the row is accepted); only the file's bits are checked here
-    with np.errstate(over="ignore"):
-        sm.save_embeddings(sm.EmbeddingTable(class_names=["a", "b"], vectors=vectors), path)
-        back = sm.load_embeddings(path)
+    sm.save_embeddings(sm.EmbeddingTable(class_names=["a", "b"], vectors=vectors), path)
+    back = sm.load_embeddings(path)
     assert back.class_names == ("a", "b")
     assert same_bits(back.vectors, vectors)
 

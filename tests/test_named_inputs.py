@@ -124,12 +124,24 @@ def test_schedule_rejects_off_diagonal_argmax(order):
 @pytest.mark.parametrize("text, reason", [
     ("a 1 0\na 0 1\n", "duplicate class name"),
     ("a 0 0\nb 0 1\n", "zero vector for class 'a'"),
-], ids=["duplicate-name", "zero-vector"])
+    ("a 1 1\nb 1e200 -1e200\n",
+     f"entry above {sm._largest_entry(2):.6g} for class 'b' overflows its norm"),
+], ids=["duplicate-name", "zero-vector", "norm-overflow"])
 def test_embedding_table_errors_name_the_file(tmp_path, text, reason):
     path = tmp_path / "emb.txt"
     path.write_text(text)
     with pytest.raises(sm.SimilarityError, match=f"^{re.escape(f'{path}: {reason}')}$"):
         sm.load_embeddings(path)
+
+
+def test_build_sim_exits_2_on_an_overflowing_entry(tmp_path, capsys):
+    emb = tmp_path / "emb.txt"
+    emb.write_text("a 1 1\nb 1e200 1e200\n")
+    out = tmp_path / "sim.csv"
+    assert cli.main(["build-sim", "--kind", "embedding", "--in", str(emb),
+                     "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {emb}: entry above ")
+    assert not out.exists()
 
 
 SIM_MATRIX_ERRORS = [

@@ -43,6 +43,38 @@ class TestEmbeddingTable:
             table([[1.0, 0.0], [0.0, 1.0]], names=["a", "a"])
 
 
+class TestEntryMagnitude:
+    """An entry whose square would overflow the norm is rejected, not turned
+    into a zero cosine; the largest entry accepted keeps every norm finite."""
+
+    def test_overflowing_entry_rejected(self):
+        # [1e200, 1e200] and [1, 1] share a direction; the overflowing norm
+        # used to give them cosine 0
+        with pytest.raises(sm.SimilarityError, match="for class 'c0' overflows its norm"):
+            table([[1e200, 1e200], [1.0, 1.0]])
+        with pytest.raises(sm.SimilarityError, match="overflows its norm"):
+            sm.cosine([1e200, 1e200], [1.0, 1.0])
+        with pytest.raises(sm.SimilarityError, match="overflows its norm"):
+            sm.cosine([1.0, 1.0], [-1.7976931348623157e308, 0.0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 64, 12345])
+    def test_largest_accepted_entry_keeps_norms_finite(self, d):
+        limit = sm._largest_entry(d)
+        vectors = np.full((2, d), limit)
+        vectors[1, 0] = -limit
+        sim = sm.build_cosine_similarity(table(vectors))  # warnings are errors
+        assert np.isfinite(sim.entries).all()
+        assert np.isfinite(sm.cosine(vectors[0], vectors[1]))
+        vectors[1, -1] = np.nextafter(limit, np.inf)
+        with pytest.raises(sm.SimilarityError, match="for class 'c1'"):
+            table(vectors)
+
+    def test_large_duplicate_directions_still_rejected(self):
+        big = sm._largest_entry(2)
+        with pytest.raises(sm.SimilarityError, match="duplicate directions"):
+            sm.build_cosine_similarity(table([[big, big], [1.0, 1.0]]))
+
+
 class TestBuildCosineSimilarity:
     def test_exact_symmetry_and_diagonal(self):
         rng = np.random.default_rng(3)
