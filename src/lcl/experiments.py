@@ -28,6 +28,7 @@ class ExperimentError(ValueError):
 DEFAULT_ALPHA = 0.1  # LS
 DEFAULT_TEMPERATURE = 1.0  # KD
 LOSS_LOG_ROWS = 64  # rows whose losses are computed at once, rounded to whole batches
+SHARED_TABLE_BYTES = 16 * 2 ** 20  # LCL tables a suite keeps for one config's seeds
 
 
 def _is_seed(seed):
@@ -261,7 +262,27 @@ def check_inputs(configs, train, test, sim=None):
                               f"the data {train.num_classes}")
 
 
-def run_trial(config, seed, train, test, sim=None, debug_verify=False):
+def _lcl_table_at(sim, epsilon, shared=None):
+    """table_at of an LCL trial. `shared` holds one config's schedules at
+    steps 0, 1, ... for all its seeds: epoch t reads step t there when it is
+    kept, else advances this trial's schedule and keeps it while the tables
+    fit in SHARED_TABLE_BYTES. Without `shared` the trial keeps only its own
+    current schedule."""
+    kept, budget = ([], 0) if shared is None else (shared, SHARED_TABLE_BYTES)
+    schedule = kept[-1] if kept else curriculum.init_targets(sim, epsilon)
+
+    def table_at(epoch):
+        nonlocal schedule
+        if epoch < len(kept):
+            return kept[epoch].targets
+        schedule = curriculum.advance_to(schedule, epoch)
+        if epoch == len(kept) and (epoch + 1) * schedule.targets.nbytes <= budget:
+            kept.append(schedule)
+        return schedule.targets
+    return table_at
+
+
+def run_trial(config, seed, train, test, sim=None, debug_verify=False, *, _schedules=None):
     """One deterministic training run for the config's encoding.
 
     The seed controls subsampling, initialization, and batch shuffling
@@ -287,16 +308,12 @@ def run_trial(config, seed, train, test, sim=None, debug_verify=False):
         table = np.stack([curriculum.label_smoothing(i, c, config.effective_alpha).probs
                           for i in range(c)])
     elif config.encoding == "LCL":
-        schedule = curriculum.init_targets(sim, config.epsilon)
         if debug_verify:
-            report = curriculum.verify_curriculum(schedule, config.epochs)
+            report = curriculum.verify_curriculum(
+                curriculum.init_targets(sim, config.epsilon), config.epochs)
             if not report.passed:
                 raise ExperimentError("curriculum axioms violated:\n" + report.summary())
-
-        def table_at(epoch):
-            nonlocal schedule
-            schedule = curriculum.advance_to(schedule, epoch)
-            return schedule.targets
+        table_at = _lcl_table_at(sim, config.epsilon, _schedules)
     elif config.encoding == "KD":
         # teacher is a full-budget SL run under the same seed streams
         (teacher,), _ = _train(config, models, xs, index, table_at, shuffle)
@@ -550,10 +567,6 @@ def write_summary(results, out_dir):
     return agg, rank, text
 
 
-def _run_one(args):
-    return run_trial(*args)
-
-
 def run_suite(configs, train, test, sim=None, out_dir=".", jobs=1):
     """Run every (config, seed) trial, write raw and aggregate CSVs plus the
     rank report, and return (results, aggregate rows, rank test or None).
@@ -561,28 +574,33 @@ def run_suite(configs, train, test, sim=None, out_dir=".", jobs=1):
     A failing trial is recorded in errors.log and the suite continues; an
     errors.log left in out_dir by an earlier run is removed first. Two
     trials in one rank-table cell raise ExperimentError once raw_results.csv
-    and aggregate.csv are written.
+    and aggregate.csv are written. Run serially, the seeds of one LCL config
+    share its schedule's tables; `jobs` workers step their own.
     """
     os.makedirs(out_dir, exist_ok=True)
     errors_path = os.path.join(out_dir, "errors.log")
     if os.path.exists(errors_path):
         os.remove(errors_path)
-    tasks = [(cfg, seed, train, test, sim) for cfg in configs for seed in cfg.seeds]
     results, errors = [], []
+
+    def record(cfg, seed, outcome):
+        try:
+            results.append(outcome())
+        except Exception as exc:  # keep the suite going
+            errors.append(f"{cfg.config_id} seed={seed}: {exc}")
+
+    tasks = [(cfg, seed) for cfg in configs for seed in cfg.seeds]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_one, task) for task in tasks]
-            for task, fut in zip(tasks, futures):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    errors.append(f"{task[0].config_id} seed={task[1]}: {exc}")
+            futures = [pool.submit(run_trial, cfg, seed, train, test, sim) for cfg, seed in tasks]
+            for (cfg, seed), fut in zip(tasks, futures):
+                record(cfg, seed, fut.result)
     else:
-        for task in tasks:
-            try:
-                results.append(_run_one(task))
-            except Exception as exc:  # keep the suite going
-                errors.append(f"{task[0].config_id} seed={task[1]}: {exc}")
+        for cfg in configs:
+            schedules = []  # this config's LCL tables, dropped at the next config
+            for seed in cfg.seeds:
+                record(cfg, seed, lambda: run_trial(cfg, seed, train, test, sim,
+                                                    _schedules=schedules))
     if errors:
         with open(errors_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(errors) + "\n")

@@ -30,6 +30,24 @@ def _largest_entry(d):
     return np.sqrt(np.finfo(float).max / (d + 1))
 
 
+# the smallest largest |entry| a vector may have: its square is then the
+# smallest normal float, so the squares a norm sums do not underflow
+SMALLEST_PEAK = np.sqrt(np.finfo(float).tiny)
+
+
+def _check_norms(vecs, names):
+    """Raise SimilarityError, with its name from names, for the first row of
+    the finite C x d vecs whose norm would overflow, be zero or underflow."""
+    peaks = np.maximum.reduce(np.abs(vecs), axis=1)
+    limit = _largest_entry(vecs.shape[1])
+    for bad, reason in ((peaks > limit, f"entry above {limit:.6g} for {{}} overflows its norm"),
+                        (peaks == 0.0, "zero vector for {}"),
+                        (peaks < SMALLEST_PEAK, f"largest entry below {SMALLEST_PEAK:.6g} "
+                                                "for {} underflows its norm")):
+        if np.logical_or.reduce(bad):
+            raise SimilarityError(reason.format(names[bad.argmax()]))
+
+
 @dataclass(frozen=True)
 class EmbeddingTable:
     """Per-class real vectors, one row per class, in class-index order."""
@@ -45,19 +63,11 @@ class EmbeddingTable:
             raise SimilarityError("vectors must be a C x d matrix with d >= 1")
         if len(self.class_names) != vecs.shape[0]:
             raise SimilarityError("class name count does not match row count")
-        if not np.all(np.isfinite(vecs)):
-            raise SimilarityError("non-finite vector entries")
-        limit = _largest_entry(vecs.shape[1])
-        too_large = np.flatnonzero((np.abs(vecs) > limit).any(axis=1))
-        if too_large.size:
-            raise SimilarityError(f"entry above {limit:.6g} for class "
-                                  f"{self.class_names[too_large[0]]!r} overflows its norm")
         if len(set(self.class_names)) != len(self.class_names):
             raise SimilarityError("duplicate class name")
-        norms = np.linalg.norm(vecs, axis=1)
-        if np.any(norms == 0.0):
-            bad = self.class_names[int(np.argmin(norms))]
-            raise SimilarityError(f"zero vector for class {bad!r}")
+        if not np.all(np.isfinite(vecs)):
+            raise SimilarityError("non-finite vector entries")
+        _check_norms(vecs, [f"class {name!r}" for name in self.class_names])
 
     @property
     def num_classes(self):
@@ -203,17 +213,18 @@ def load_hierarchy(path):
 
 
 def cosine(u, v):
-    """Cosine similarity <u,v> / (|u| |v|) of two nonzero vectors."""
+    """Cosine similarity <u,v> / (|u| |v|) of two nonzero vectors of one
+    length, with the entry checks of an EmbeddingTable row."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    limit = _largest_entry(max(u.size, v.size))
-    if (np.abs(u) > limit).any() or (np.abs(v) > limit).any():
-        raise SimilarityError(f"vector entry above {limit:.6g} overflows its norm")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise SimilarityError("cosine of a zero vector is undefined")
-    return float(np.dot(u, v) / (nu * nv))
+    if u.ndim != 1 or u.shape != v.shape:
+        raise SimilarityError(f"need two vectors of one length, got shapes {u.shape} "
+                              f"and {v.shape}")
+    pair = np.stack([u, v])
+    if not np.all(np.isfinite(pair)):
+        raise SimilarityError("non-finite vector entries")
+    _check_norms(pair, "uv")
+    return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
 def build_cosine_similarity(table, clamp_negative=True):

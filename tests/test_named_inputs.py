@@ -126,7 +126,9 @@ def test_schedule_rejects_off_diagonal_argmax(order):
     ("a 0 0\nb 0 1\n", "zero vector for class 'a'"),
     ("a 1 1\nb 1e200 -1e200\n",
      f"entry above {sm._largest_entry(2):.6g} for class 'b' overflows its norm"),
-], ids=["duplicate-name", "zero-vector", "norm-overflow"])
+    ("a 1e-200 1e-200\nb 1 0\n",
+     f"largest entry below {sm.SMALLEST_PEAK:.6g} for class 'a' underflows its norm"),
+], ids=["duplicate-name", "zero-vector", "norm-overflow", "norm-underflow"])
 def test_embedding_table_errors_name_the_file(tmp_path, text, reason):
     path = tmp_path / "emb.txt"
     path.write_text(text)
@@ -141,6 +143,18 @@ def test_build_sim_exits_2_on_an_overflowing_entry(tmp_path, capsys):
     assert cli.main(["build-sim", "--kind", "embedding", "--in", str(emb),
                      "--out", str(out)]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: {emb}: entry above ")
+    assert not out.exists()
+
+
+def test_build_sim_exits_2_on_an_underflowing_entry(tmp_path, capsys):
+    emb = tmp_path / "emb.txt"
+    emb.write_text("a 1 1\nb 1e-200 1e-200\n")
+    out = tmp_path / "sim.csv"
+    assert cli.main(["build-sim", "--kind", "embedding", "--in", str(emb),
+                     "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (f"error: {emb}: largest entry below "
+                                       f"{sm.SMALLEST_PEAK:.6g} for class 'b' underflows "
+                                       "its norm\n")
     assert not out.exists()
 
 

@@ -28,6 +28,20 @@ class TestCosine:
         with pytest.raises(sm.SimilarityError):
             sm.cosine([0.0, 0.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("u, v, reason", [
+        ([np.nan, 1.0], [1.0, 0.0], "non-finite"),
+        ([1.0, 0.0], [np.inf, 1.0], "non-finite"),
+        ([1.0, 1.0, 1.0], [1.0, 0.0], "one length"),
+        ([[1.0, 1.0]], [[1.0, 0.0]], "one length"),
+        ([1.0, 0.0], [0.0, 0.0], "zero vector for v"),
+        ([3e-162, 4e-162], [4.0, 3.0], "for u underflows its norm"),
+    ])
+    def test_malformed_vectors_rejected(self, u, v, reason):
+        """Checked before any arithmetic, so numpy neither warns nor raises
+        an untyped error, and NaN is not returned."""
+        with pytest.raises(sm.SimilarityError, match=reason):
+            sm.cosine(u, v)
+
 
 class TestEmbeddingTable:
     def test_invariants(self):
@@ -68,6 +82,23 @@ class TestEntryMagnitude:
         vectors[1, -1] = np.nextafter(limit, np.inf)
         with pytest.raises(sm.SimilarityError, match="for class 'c1'"):
             table(vectors)
+
+    def test_underflowing_entry_rejected(self):
+        # the norm of [1e-200, 1e-200] underflows to 0; [3e-162, 4e-162]'s
+        # is subnormal, so its cosine to [4, 3] came out 0.9657... for 0.96
+        with pytest.raises(sm.SimilarityError, match="for class 'c0' underflows its norm"):
+            table([[1e-200, 1e-200], [1.0, 0.0]])
+        with pytest.raises(sm.SimilarityError, match="for class 'c1' underflows its norm"):
+            table([[4.0, 3.0], [3e-162, 4e-162]])
+
+    def test_smallest_accepted_peak_keeps_cosines_exact(self):
+        peak = sm.SMALLEST_PEAK
+        assert peak * peak == np.finfo(float).tiny
+        assert sm.cosine([0.75 * peak, peak], [4.0, 3.0]) == pytest.approx(0.96, abs=1e-15)
+        sim = sm.build_cosine_similarity(table([[0.75 * peak, peak], [4.0, 3.0]]))
+        assert sim.entries[0, 1] == pytest.approx(0.96, abs=1e-15)
+        with pytest.raises(sm.SimilarityError, match="for class 'c0' underflows"):
+            table([[0.75 * peak, np.nextafter(peak, 0.0)], [4.0, 3.0]])
 
     def test_large_duplicate_directions_still_rejected(self):
         big = sm._largest_entry(2)
