@@ -3,6 +3,7 @@ geometric cooling update, baseline encodings, and axiom verification."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,30 @@ class CurriculumError(ValueError):
     """Invalid curriculum construction or evolution request."""
 
 
+def _integer(name, value):
+    """value, if it is an integer (numbers.Integral, the rule a seed follows)."""
+    if not isinstance(value, numbers.Integral):
+        raise CurriculumError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _off_simplex(t):
+    """Each row's sum, and the mask of rows off the probability simplex: a
+    negative entry or a sum more than SIMPLEX_TOL from 1. Written so that a
+    NaN puts its row in the mask."""
+    sums = np.add.reduce(t, axis=-1)
+    return sums, ~(np.logical_and.reduce(t >= 0.0, axis=-1)
+                   & (np.abs(sums - 1.0) <= SIMPLEX_TOL))
+
+
+def _off_argmax(t):
+    """The rows of the square t whose diagonal entry is not strictly above
+    the row's other entries; a NaN anywhere in a row puts it in the mask."""
+    off = t.copy()
+    off.reshape(-1)[::t.shape[0] + 1] = -np.inf  # a C-ordered copy: reshape is a view
+    return ~(t.diagonal() > np.maximum.reduce(off, axis=1))
+
+
 @dataclass(frozen=True)
 class TargetVector:
     """A single target distribution over C classes with its true class."""
@@ -28,10 +53,11 @@ class TargetVector:
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "probs", p)
-        if not 0 <= self.true_class < p.shape[0]:
+        if p.ndim != 1 or not p.size:
+            raise CurriculumError("probs must be a non-empty vector")
+        if not 0 <= _integer("true_class", self.true_class) < p.shape[0]:
             raise CurriculumError(f"true_class {self.true_class} out of range")
-        # written so that a NaN entry fails the test
-        if not (np.all(p >= 0.0) and abs(p.sum() - 1.0) <= SIMPLEX_TOL):
+        if _off_simplex(p)[1]:
             raise CurriculumError("target vector is not on the probability simplex")
 
 
@@ -50,20 +76,13 @@ class TargetSchedule:
         object.__setattr__(self, "targets", t)
         if not 0.0 < self.epsilon < 1.0:
             raise CurriculumError("epsilon must lie in (0, 1)")
-        if self.step_count < 0:
-            raise CurriculumError("step counter must be nonnegative")
-        c = t.shape[0]
-        if t.ndim != 2 or t.shape[1] != c:
-            raise CurriculumError("targets must be a square matrix")
-        # written so that a NaN entry fails the test: the min and max propagate it
-        if not (np.minimum.reduce(t, axis=None, initial=0.0) >= 0.0 and np.maximum.reduce(
-                np.abs(np.add.reduce(t, axis=1) - 1.0), axis=None) <= SIMPLEX_TOL):
+        if _integer("step_count", self.step_count) < 0:
+            raise CurriculumError("step_count must be >= 0")
+        if t.ndim != 2 or t.shape[0] != t.shape[1] or not t.size:
+            raise CurriculumError("targets must be a non-empty square matrix")
+        if np.logical_or.reduce(_off_simplex(t)[1]):
             raise CurriculumError("every row must be on the probability simplex")
-        # each diagonal entry strictly above its row's off-diagonal maximum;
-        # a NaN anywhere in a row fails the comparison
-        off = t.copy()
-        off.reshape(-1)[::c + 1] = -np.inf  # a C-ordered copy: reshape is a view
-        bad = ~(t.diagonal() > np.maximum.reduce(off, axis=1))
+        bad = _off_argmax(t)
         if np.logical_or.reduce(bad):
             raise CurriculumError(f"row {bad.argmax()}: argmax is not the true class")
 
@@ -109,7 +128,7 @@ def step(schedule):
 
 def advance_to(schedule, t):
     """Evolve the schedule to step t by repeated application of step()."""
-    if t < schedule.step_count:
+    if _integer("t", t) < schedule.step_count:
         raise CurriculumError(
             f"cannot rewind schedule from step {schedule.step_count} to {t}")
     out = schedule
@@ -120,29 +139,24 @@ def advance_to(schedule, t):
 
 def target_for(schedule, class_index):
     """The target distribution for one class at the schedule's current step."""
-    if not 0 <= class_index < schedule.num_classes:
+    if not 0 <= _integer("class_index", class_index) < schedule.num_classes:
         raise CurriculumError(f"class index {class_index} out of range")
     return TargetVector(probs=schedule.targets[class_index].copy(),
                         true_class=class_index)
 
 
 def one_hot(class_index, num_classes):
-    if not 0 <= class_index < num_classes:
-        raise CurriculumError(f"class index {class_index} out of range")
-    p = np.zeros(num_classes)
-    p[class_index] = 1.0
-    return TargetVector(probs=p, true_class=class_index)
+    return TargetVector(probs=np.where(np.arange(num_classes) == class_index, 1.0, 0.0),
+                        true_class=class_index)
 
 
 def label_smoothing(class_index, num_classes, alpha):
     """Time-invariant smoothed target: (1 - alpha) + alpha/C on the true
     class, alpha/C elsewhere."""
-    if not 0 <= class_index < num_classes:
-        raise CurriculumError(f"class index {class_index} out of range")
     if not 0.0 <= alpha <= 1.0:
         raise CurriculumError("alpha must lie in [0, 1]")
-    p = np.full(num_classes, alpha / num_classes)
-    p[class_index] = (1.0 - alpha) + alpha / num_classes
+    p = np.where(np.arange(num_classes) == class_index,
+                 (1.0 - alpha) + alpha / num_classes, alpha / num_classes)
     return TargetVector(probs=p, true_class=class_index)
 
 
@@ -188,14 +202,13 @@ def verify_curriculum(schedule, horizon):
     """Evolve the schedule for `horizon` steps and check, at every step:
     simplex membership, fixed argmax, strictly decreasing entropy (unless the
     row is already one-hot), and the geometric off-diagonal decay bound."""
-    if horizon < 1:
+    if _integer("horizon", horizon) < 1:
         raise CurriculumError("horizon must be >= 1")
     c = schedule.num_classes
     eps = schedule.epsilon
     initial = schedule.targets.copy()
     entropies = np.zeros((horizon + 1, c))
     violations = []
-    idx = np.arange(c)
     off_mask = ~np.eye(c, dtype=bool)
     prev_off_mass = np.zeros(c)
     cur = schedule.targets.copy()
@@ -209,16 +222,12 @@ def verify_curriculum(schedule, horizon):
         return 0.0 - terms.sum(axis=1)
 
     for t in range(horizon + 1):
-        row_sums = cur.sum(axis=1)
-        diag = cur[idx, idx]
         entropies[t] = row_entropies(cur)
-        resid = np.abs(row_sums - 1.0)
-        bad = ~((cur >= 0.0).all(axis=1) & (resid <= SIMPLEX_TOL))
-        for i in np.flatnonzero(bad):
+        row_sums, off_simplex = _off_simplex(cur)
+        for i in np.flatnonzero(off_simplex):
             violations.append(AxiomViolation(
-                "simplex", int(i), t, f"residual {resid[i]:.3g}"))
-        off_max = np.where(off_mask, cur, -np.inf).max(axis=1)
-        for i in np.flatnonzero(~(diag > off_max)) if c > 1 else []:
+                "simplex", int(i), t, f"residual {abs(row_sums[i] - 1.0):.3g}"))
+        for i in np.flatnonzero(_off_argmax(cur)) if c > 1 else []:
             violations.append(AxiomViolation(
                 "argmax", int(i), t, f"argmax at {int(np.argmax(cur[i]))}"))
         if t > 0:
@@ -235,7 +244,7 @@ def verify_curriculum(schedule, horizon):
                 violations.append(AxiomViolation(
                     "geometric-decay", int(i), t,
                     f"off-diagonal {int(np.argmax(over[i]))} above eps^t bound"))
-        prev_off_mass = row_sums - diag
+        prev_off_mass = row_sums - cur.diagonal()
         if t < horizon:
             cur = _step_matrix(cur, eps)
     return VerificationReport(horizon=horizon, epsilon=eps,
@@ -257,5 +266,5 @@ def save_schedule(schedule, path):
     """Write the schedule as CSV, one row per class, full precision, headed
     by a `# epsilon=<e> step=<t>` comment line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# epsilon={schedule.epsilon!r} step={schedule.step_count}\n")
+        fh.write(f"# epsilon={float(schedule.epsilon)!r} step={schedule.step_count}\n")
         _files.write_rows(fh, schedule.targets)

@@ -457,7 +457,7 @@ def _write_table(records, header, path):
     def cell(name, value):
         if name == "wall_ms":
             return f"{value:.1f}"
-        return "" if value is None else repr(value) if isinstance(value, float) else value
+        return "" if value is None else repr(float(value)) if isinstance(value, float) else value
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         w = csv.writer(fh, lineterminator="\n")
