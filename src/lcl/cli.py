@@ -27,14 +27,6 @@ class UsageError(Exception):
     pass
 
 
-def _effective_rank(eigvals):
-    # exponential of the spectral entropy of the normalized eigenvalues
-    lam = np.clip(np.asarray(eigvals, dtype=float), 0.0, None)
-    p = lam / lam.sum()
-    nz = p[p > 0.0]
-    return float(np.exp(-np.sum(nz * np.log(nz))))
-
-
 def cmd_build_sim(args):
     if args.kind == "hierarchy":
         sim = similarity.simrank(similarity.load_hierarchy(args.input), decay=args.decay)
@@ -47,10 +39,11 @@ def cmd_build_sim(args):
     similarity.save_similarity(sim, args.output)
     spectrum = similarity.eigenspectrum(sim)
     top5 = ", ".join(f"{v:.6f}" for v in spectrum[:5])
+    lam = np.clip(spectrum, 0.0, None)  # the rank is exp of the spectrum's entropy
     print(f"wrote {args.output}: C={sim.num_classes} source={sim.source}")
     print(f"clamped entries: {sim.clamped_entries}")
     print(f"top-5 eigenvalues: {top5}")
-    print(f"effective rank: {_effective_rank(spectrum):.3f}")
+    print(f"effective rank: {np.exp(curriculum.entropy(lam / lam.sum())):.3f}")
     return EXIT_OK
 
 

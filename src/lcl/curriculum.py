@@ -19,10 +19,23 @@ class CurriculumError(ValueError):
     """Invalid curriculum construction or evolution request."""
 
 
-def _integer(name, value):
-    """value, if it is an integer (numbers.Integral, the rule a seed follows)."""
-    if not isinstance(value, numbers.Integral):
-        raise CurriculumError(f"{name} must be an integer, got {value!r}")
+def _is_integer(value):
+    """The one integer rule of every count, index and seed: a numbers.Integral,
+    numpy's integers included."""
+    return isinstance(value, numbers.Integral)
+
+
+def _integer(name, value, error=CurriculumError):
+    """value, if it is an integer; else `error` naming the field."""
+    if not _is_integer(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _real(name, value):
+    """value, if it is a real number (numbers.Real, numpy's floats included)."""
+    if not isinstance(value, numbers.Real):
+        raise CurriculumError(f"{name} must be a real number, got {value!r}")
     return value
 
 
@@ -74,7 +87,7 @@ class TargetSchedule:
     def __post_init__(self):
         t = np.asarray(self.targets, dtype=float)
         object.__setattr__(self, "targets", t)
-        if not 0.0 < self.epsilon < 1.0:
+        if not 0.0 < _real("epsilon", self.epsilon) < 1.0:
             raise CurriculumError("epsilon must lie in (0, 1)")
         if _integer("step_count", self.step_count) < 0:
             raise CurriculumError("step_count must be >= 0")
@@ -145,17 +158,24 @@ def target_for(schedule, class_index):
                         true_class=class_index)
 
 
+def _classes(num_classes):
+    """The class indices 0, ..., num_classes - 1 of a checked num_classes."""
+    if _integer("num_classes", num_classes) < 1:
+        raise CurriculumError("num_classes must be >= 1")
+    return np.arange(num_classes)
+
+
 def one_hot(class_index, num_classes):
-    return TargetVector(probs=np.where(np.arange(num_classes) == class_index, 1.0, 0.0),
+    return TargetVector(probs=np.where(_classes(num_classes) == class_index, 1.0, 0.0),
                         true_class=class_index)
 
 
 def label_smoothing(class_index, num_classes, alpha):
     """Time-invariant smoothed target: (1 - alpha) + alpha/C on the true
     class, alpha/C elsewhere."""
-    if not 0.0 <= alpha <= 1.0:
+    if not 0.0 <= _real("alpha", alpha) <= 1.0:
         raise CurriculumError("alpha must lie in [0, 1]")
-    p = np.where(np.arange(num_classes) == class_index,
+    p = np.where(_classes(num_classes) == class_index,
                  (1.0 - alpha) + alpha / num_classes, alpha / num_classes)
     return TargetVector(probs=p, true_class=class_index)
 

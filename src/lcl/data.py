@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _files
+from .curriculum import _integer
 from .similarity import EmbeddingTable
 
 
@@ -72,6 +73,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_superclusters", "classes_per_supercluster", "dim",
+                     "train_per_class", "test_per_class", "seed"):
+            _integer(name, getattr(self, name), DataError)
         if min(self.num_superclusters, self.classes_per_supercluster,
                self.dim, self.train_per_class, self.test_per_class) < 1:
             raise DataError("all counts must be >= 1")

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import os
 import re
 import time
@@ -28,11 +27,11 @@ class ExperimentError(ValueError):
 DEFAULT_ALPHA = 0.1  # LS
 DEFAULT_TEMPERATURE = 1.0  # KD
 LOSS_LOG_ROWS = 64  # rows whose losses are computed at once, rounded to whole batches
-SHARED_TABLE_BYTES = 16 * 2 ** 20  # LCL tables a suite keeps for one config's seeds
+SHARED_TABLE_BYTES = 16 * 2 ** 20  # LCL tables a suite keeps for one run of a config's seeds
 
 
 def _is_seed(seed):
-    return isinstance(seed, numbers.Integral) and seed >= 0
+    return curriculum._is_integer(seed) and seed >= 0
 
 
 @dataclass(frozen=True)
@@ -80,6 +79,8 @@ class ExperimentConfig:
             raise ExperimentError("lr_decay must be finite and > 0")
         if not 0.0 <= self.lam < math.inf:
             raise ExperimentError("lam must be finite and >= 0")
+        for name in ("epochs", "batch_size", "hidden"):
+            curriculum._integer(name, getattr(self, name), ExperimentError)
         if min(self.epochs, self.batch_size, self.hidden) < 1:
             raise ExperimentError("epochs, batch_size and hidden must be >= 1")
         if self.architecture not in model.ARCHITECTURES:
@@ -168,17 +169,6 @@ def _topk_accuracies(probs, labels, ks):
     return [float(np.mean(rank < k)) for k in ks]
 
 
-def _rng_streams(seed):
-    """Named deterministic RNG streams; the same seed yields the same
-    subsample/init/shuffle randomness for every encoding (paired trials)."""
-    return {
-        "init": np.random.default_rng([int(seed), 1]),
-        "init2": np.random.default_rng([int(seed), 2]),
-        "shuffle": np.random.default_rng([int(seed), 3]),
-        "shuffle2": np.random.default_rng([int(seed), 4]),
-    }
-
-
 def _log_losses(pending, targets, b, lam, out):
     """Set out (M, batches) to the mean loss of each b-row batch (the last may
     be short) of the pending (M, b, C) predictions: cross-entropy, plus
@@ -264,7 +254,7 @@ def check_inputs(configs, train, test, sim=None):
 
 def _lcl_table_at(sim, epsilon, shared=None):
     """table_at of an LCL trial. `shared` holds one config's schedules at
-    steps 0, 1, ... for all its seeds: epoch t reads step t there when it is
+    steps 0, 1, ... for a run of its seeds: epoch t reads step t there when it is
     kept, else advances this trial's schedule and keeps it while the tables
     fit in SHARED_TABLE_BYTES. Without `shared` the trial keeps only its own
     current schedule."""
@@ -292,18 +282,20 @@ def run_trial(config, seed, train, test, sim=None, debug_verify=False, *, _sched
         raise ExperimentError(f"seed must be an integer >= 0, got {seed!r}")
     check_inputs((config,), train, test, sim)
     t_start = time.perf_counter()
-    streams = _rng_streams(seed)
     if config.dr < 1.0:
         train = subsample(train, config.dr, seed)
     xs, ys, c = train.features, train.labels, train.num_classes
 
+    def rng(stream):  # 1 and 2 draw the first and second model, 3 and 4 shuffle for them
+        return np.random.default_rng([int(seed), stream])
+
     def init(stream):
         return model.init_params(config.architecture, train.dim, c,
-                                 hidden=config.hidden, seed=streams[stream])
+                                 hidden=config.hidden, seed=rng(stream))
 
     table, index = np.eye(c), ys
     table_at = lambda epoch: table  # late-bound: a branch below may replace table
-    models, shuffle = [init("init")], streams["shuffle"]
+    models, shuffle = [init(1)], rng(3)
     if config.encoding == "LS":
         table = np.stack([curriculum.label_smoothing(i, c, config.effective_alpha).probs
                           for i in range(c)])
@@ -319,9 +311,9 @@ def run_trial(config, seed, train, test, sim=None, debug_verify=False, *, _sched
         (teacher,), _ = _train(config, models, xs, index, table_at, shuffle)
         table = model._softmax(model.logits(teacher, xs) / config.effective_temperature)
         index = np.arange(len(ys))  # the soft targets are picked by row
-        models, shuffle = [init("init2")], streams["shuffle2"]
+        models, shuffle = [init(2)], rng(4)
     elif config.encoding == "DML":
-        models.append(init("init2"))
+        models.append(init(2))
     models, histories = _train(config, models, xs, index, table_at, shuffle)
     scores = [_evaluate(params, test) for params in models]
     wall_ms = (time.perf_counter() - t_start) * 1000.0
@@ -567,44 +559,57 @@ def write_summary(results, out_dir):
     return agg, rank, text
 
 
+def _run_seeds(cfg, seeds, train, test, sim):
+    """One task of run_suite: the config's trials for these seeds, in turn,
+    each through the public run_trial and all sharing one list of LCL
+    schedules. Returns each trial's TrialResult or, for a trial that
+    failed, its errors.log line."""
+    schedules, outcomes = [], []
+    for seed in seeds:
+        try:
+            outcomes.append(run_trial(cfg, seed, train, test, sim, _schedules=schedules))
+        except Exception as exc:  # keep the suite going
+            outcomes.append(f"{cfg.config_id} seed={seed}: {exc}")
+    return outcomes
+
+
 def run_suite(configs, train, test, sim=None, out_dir=".", jobs=1):
     """Run every (config, seed) trial, write raw and aggregate CSVs plus the
     rank report, and return (results, aggregate rows, rank test or None).
 
-    A failing trial is recorded in errors.log and the suite continues; an
-    errors.log left in out_dir by an earlier run is removed first. Two
-    trials in one rank-table cell raise ExperimentError once raw_results.csv
-    and aggregate.csv are written. Run serially, the seeds of one LCL config
-    share its schedule's tables; `jobs` workers step their own.
+    Each task runs a config's seeds in turn, so they share its LCL tables:
+    one task per config serially, and up to `jobs` tasks of contiguous seeds
+    per config on a pool of `jobs` workers. A failing trial, or every trial
+    of a task whose worker died, is recorded in errors.log and the suite
+    continues; an errors.log left in out_dir by an earlier run is removed
+    first. Two trials in one rank-table cell raise ExperimentError once
+    raw_results.csv and aggregate.csv are written.
     """
     os.makedirs(out_dir, exist_ok=True)
     errors_path = os.path.join(out_dir, "errors.log")
     if os.path.exists(errors_path):
         os.remove(errors_path)
-    results, errors = [], []
-
-    def record(cfg, seed, outcome):
-        try:
-            results.append(outcome())
-        except Exception as exc:  # keep the suite going
-            errors.append(f"{cfg.config_id} seed={seed}: {exc}")
-
-    tasks = [(cfg, seed) for cfg in configs for seed in cfg.seeds]
+    tasks = []  # each config's seeds cut into up to `jobs` contiguous runs
+    for cfg in configs:
+        n, k = len(cfg.seeds), min(jobs, len(cfg.seeds))
+        tasks += [(cfg, cfg.seeds[n * i // k:n * (i + 1) // k]) for i in range(k)]
+    outcomes = []
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_trial, cfg, seed, train, test, sim) for cfg, seed in tasks]
-            for (cfg, seed), fut in zip(tasks, futures):
-                record(cfg, seed, fut.result)
+            futures = [pool.submit(_run_seeds, *task, train, test, sim) for task in tasks]
+            for (cfg, seeds), fut in zip(tasks, futures):
+                try:
+                    outcomes += fut.result()
+                except Exception as exc:  # the worker died
+                    outcomes += [f"{cfg.config_id} seed={seed}: {exc}" for seed in seeds]
     else:
-        for cfg in configs:
-            schedules = []  # this config's LCL tables, dropped at the next config
-            for seed in cfg.seeds:
-                record(cfg, seed, lambda: run_trial(cfg, seed, train, test, sim,
-                                                    _schedules=schedules))
+        for task in tasks:
+            outcomes += _run_seeds(*task, train, test, sim)
+    errors = [o for o in outcomes if isinstance(o, str)]
     if errors:
         with open(errors_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(errors) + "\n")
-    flat = _flatten(results)
+    flat = _flatten(o for o in outcomes if not isinstance(o, str))
     write_raw_csv(flat, os.path.join(out_dir, "raw_results.csv"))
     agg, rank, _ = write_summary(flat, out_dir)
     return flat, agg, rank

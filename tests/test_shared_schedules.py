@@ -1,8 +1,8 @@
 """A serial run_suite advances each LCL config's schedule once and shares its
 class tables across the config's seeds, within SHARED_TABLE_BYTES. Every
 trial still goes through the public run_trial and gives the bits of a
-standalone run_trial, and `jobs` workers, which step their own schedules,
-give the same rows."""
+standalone run_trial, and `jobs` workers, which share the tables within
+each run of a config's seeds they are given, give the same rows."""
 
 import pytest
 
