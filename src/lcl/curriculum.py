@@ -32,10 +32,11 @@ def _integer(name, value, error=CurriculumError):
     return value
 
 
-def _real(name, value):
-    """value, if it is a real number (numbers.Real, numpy's floats included)."""
+def _real(name, value, error=CurriculumError):
+    """value, if it is a real number (numbers.Real, numpy's floats included);
+    else `error` naming the field."""
     if not isinstance(value, numbers.Real):
-        raise CurriculumError(f"{name} must be a real number, got {value!r}")
+        raise error(f"{name} must be a real number, got {value!r}")
     return value
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _files
-from .curriculum import _integer
+from .curriculum import _integer, _real
 from .similarity import EmbeddingTable
 
 
@@ -80,7 +80,8 @@ class SyntheticSpec:
                self.dim, self.train_per_class, self.test_per_class) < 1:
             raise DataError("all counts must be >= 1")
         for name in ("intra_spread", "inter_spread", "noise_sigma"):
-            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails it too
+            value = _real(name, getattr(self, name), DataError)
+            if not 0.0 < value < math.inf:  # NaN fails it too
                 raise DataError(f"{name} must be finite and > 0")
         if self.inter_spread <= self.intra_spread:
             raise DataError("inter_spread must exceed intra_spread")
@@ -217,10 +218,12 @@ def generate_synthetic(spec):
         + rng.normal(0.0, spec.intra_spread, size=(c_total, spec.dim))
 
     def draw_split(per_class, split):
-        feats = centers.repeat(per_class, axis=0) \
-            + rng.normal(0.0, spec.noise_sigma, size=(c_total * per_class, spec.dim))
+        # the noise of each class's rows, plus its center in place: the draws
+        # and sums of center-per-row + noise, with no second (n, d) array
+        feats = rng.normal(0.0, spec.noise_sigma, size=(c_total, per_class, spec.dim))
+        feats += centers[:, None, :]
         labels = np.repeat(np.arange(c_total), per_class)
-        return Dataset(features=feats, labels=labels,
+        return Dataset(features=feats.reshape(c_total * per_class, spec.dim), labels=labels,
                        num_classes=c_total, split=split)
 
     train = draw_split(spec.train_per_class, "train")

@@ -58,12 +58,16 @@ class ExperimentConfig:
             raise ExperimentError(f"unknown encoding {self.encoding!r}")
         if (self.epsilon is not None) != (self.encoding == "LCL"):
             raise ExperimentError("epsilon is required exactly for LCL")
-        if self.encoding == "LCL" and not 0.0 < self.epsilon < 1.0:
-            raise ExperimentError("epsilon must lie in (0, 1)")
         if self.alpha is not None and self.encoding != "LS":
             raise ExperimentError("alpha applies to LS only")
         if self.kd_temperature is not None and self.encoding != "KD":
             raise ExperimentError("kd_temperature applies to KD only")
+        required = ("dr", "lr", "lr_decay", "lam")  # the other three may be None
+        for name in required + ("epsilon", "alpha", "kd_temperature"):
+            if name in required or getattr(self, name) is not None:
+                curriculum._real(name, getattr(self, name), ExperimentError)
+        if self.encoding == "LCL" and not 0.0 < self.epsilon < 1.0:
+            raise ExperimentError("epsilon must lie in (0, 1)")
         # every range test is written so that NaN fails it; lr alone may be
         # +inf, a one-step divergence that the training loop's final check
         # reports (a config file admits finite numbers only)
@@ -162,10 +166,13 @@ def _topk_accuracies(probs, labels, ks):
     if not np.isfinite(probs).all():
         raise ExperimentError("non-finite prediction entries")
     # the true class's 0-based rank in the order a stable argsort of -probs
-    # gives: #greater plus #equal at a lower index, two disjoint sets counted at once
+    # gives: #greater plus #equal at a lower index, two disjoint sets counted
+    # one after the other, so that at most two (n, C) masks are alive
     true = probs[np.arange(probs.shape[0]), labels][:, None]
-    lower = np.arange(probs.shape[1]) < labels[:, None]
-    rank = np.add.reduce((probs > true) | ((probs == true) & lower), axis=1)
+    rank = np.add.reduce(probs > true, axis=1)
+    tied = probs == true
+    tied &= np.arange(probs.shape[1]) < labels[:, None]
+    rank += np.add.reduce(tied, axis=1)
     return [float(np.mean(rank < k)) for k in ks]
 
 
@@ -309,7 +316,9 @@ def run_trial(config, seed, train, test, sim=None, debug_verify=False, *, _sched
     elif config.encoding == "KD":
         # teacher is a full-budget SL run under the same seed streams
         (teacher,), _ = _train(config, models, xs, index, table_at, shuffle)
-        table = model._softmax(model.logits(teacher, xs) / config.effective_temperature)
+        table = model.logits(teacher, xs)  # softmax(logits / T), in place
+        table /= config.effective_temperature
+        model._softmax(table, out=table)
         index = np.arange(len(ys))  # the soft targets are picked by row
         models, shuffle = [init(2)], rng(4)
     elif config.encoding == "DML":

@@ -91,22 +91,30 @@ def init_params(architecture, input_dim, num_classes, hidden=64, seed=0):
     return ClassifierParams(architecture=architecture, **dict(zip(names, arrays)))
 
 
-def _softmax(logits):
+def _softmax(logits, out=None):
+    """Row-wise softmax, written into out (which may be logits itself) or,
+    without out, into a new array."""
     # max-subtraction keeps exp() in range; exp and the division reuse z; the
     # ufunc reductions are what ndarray.max and .sum call, minus a wrapper
-    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    z = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)
     np.exp(z, out=z)
     z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
 def _logits(params, x):
-    """Unchecked logits, and the mlp1 hidden layer as (pre-activation, ReLU)."""
-    if params.architecture == "linear":
-        return x @ params.W_out + params.b_out, None
-    pre = x @ params.W1 + params.b1
-    hidden = np.maximum(pre, 0.0)
-    return hidden @ params.W_out + params.b_out, (pre, hidden)
+    """Unchecked logits, a new array, and the mlp1 hidden layer as
+    (pre-activation, ReLU)."""
+    # each bias is added in place: `x @ W + b` would hold the product and the sum at once
+    hidden = None
+    if params.architecture == "mlp1":
+        pre = x @ params.W1
+        pre += params.b1
+        hidden = pre, np.maximum(pre, 0.0)
+        x = hidden[1]
+    z = x @ params.W_out
+    z += params.b_out
+    return z, hidden
 
 
 def logits(params, x):
@@ -119,14 +127,15 @@ def logits(params, x):
 
 def forward(params, x):
     """Predicted class distribution(s) softmax(logits)."""
-    return _softmax(logits(params, x))
+    z = logits(params, x)
+    return _softmax(z, out=z)
 
 
 def forward_batch(params, xs):
     """forward() of an (n, d) batch and the hidden layer for gradient_from_arrays,
     without the scan for non-finite inputs: a Dataset has checked them."""
     z, hidden = _logits(params, xs)
-    return _softmax(z), hidden
+    return _softmax(z, out=z), hidden
 
 
 def cross_entropy(pred, target):

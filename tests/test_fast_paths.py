@@ -400,3 +400,87 @@ class TestBatchStepBits:
             assert [w.tobytes() for w in stepped.arrays()] == [w.tobytes() for w in want_stepped]
             assert np.float64(model.regularizer(params)).tobytes() == \
                 np.float64(want_reg).tobytes()
+
+
+def former_logits(params, x):
+    """Logits as written before the bias was added in place."""
+    if params.architecture == "linear":
+        return x @ params.W_out + params.b_out
+    act = np.maximum(x @ params.W1 + params.b1, 0.0)
+    return act @ params.W_out + params.b_out
+
+
+def former_softmax(logits):
+    """The softmax as written before it took `out`: logits minus their row
+    max into a new array."""
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
+
+
+def former_generate(spec):
+    """generate_synthetic's arrays as drawn before each split's noise took its
+    centers in place: (train, test) as (features, labels), and the centers."""
+    rng = np.random.default_rng(spec.seed)
+    c = spec.num_classes
+    super_centers = rng.normal(0.0, spec.inter_spread, size=(spec.num_superclusters, spec.dim))
+    centers = np.repeat(super_centers, spec.classes_per_supercluster, axis=0) \
+        + rng.normal(0.0, spec.intra_spread, size=(c, spec.dim))
+    splits = [(centers.repeat(per_class, axis=0)
+               + rng.normal(0.0, spec.noise_sigma, size=(c * per_class, spec.dim)),
+               np.repeat(np.arange(c), per_class))
+              for per_class in (spec.train_per_class, spec.test_per_class)]
+    return splits, centers
+
+
+class TestInPlaceForwardBits:
+    @pytest.mark.parametrize("architecture", ["linear", "mlp1"])
+    def test_forward_matches_former_expression(self, architecture):
+        rng = np.random.default_rng(17)
+        for n, d, h, c in SHAPES + [(2000, 16, 32, 1000)]:  # the last at ImageNet's C
+            params = model.init_params(architecture, d, c, hidden=h, seed=rng)
+            params = model.ClassifierParams(architecture, **{
+                name: arr * 40.0 if arr.ndim == 2 else arr + 0.5
+                for name, arr in zip(model.LAYOUT[architecture], params.arrays())})
+            xs = rng.normal(size=(n, d))
+            want = former_logits(params, xs)
+            assert model.logits(params, xs).tobytes() == want.tobytes()
+            want = former_softmax(want)
+            assert model.forward(params, xs).tobytes() == want.tobytes()
+            assert model.forward_batch(params, xs)[0].tobytes() == want.tobytes()
+            assert model.forward(params, xs[0]).tobytes() == \
+                former_softmax(former_logits(params, xs[0])).tobytes()
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.5, 3.0])
+    @pytest.mark.parametrize("architecture", ["linear", "mlp1"])
+    def test_kd_soft_targets_match_former_expression(self, monkeypatch, architecture,
+                                                     temperature):
+        train, test, _ = data.generate_synthetic(data.SyntheticSpec(2, 3, 5, 12, 2, seed=4))
+        trained, real_train = [], ex._train
+
+        def recording_train(config, models, xs, index, table_at, shuffle_rng):
+            models, history = real_train(config, models, xs, index, table_at, shuffle_rng)
+            trained.append((models, table_at(0)))
+            return models, history
+
+        monkeypatch.setattr(ex, "_train", recording_train)
+        cfg = ex.ExperimentConfig("KD", kd_temperature=temperature, epochs=3, batch_size=8,
+                                  architecture=architecture, hidden=7, seeds=(0,))
+        ex.run_trial(cfg, 0, train, test)
+        ((teacher,), _), (_, soft_targets) = trained
+        want = former_softmax(former_logits(teacher, train.features) / temperature)
+        assert soft_targets.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        data.SyntheticSpec(), data.SyntheticSpec(1, 1, 1, 1, 1, seed=5),
+        data.SyntheticSpec(4, 5, 32, 20, 250, 0.3, 2.0, 2.0, seed=7),
+        data.SyntheticSpec(3, 2, 7, 5, 9, 0.25, 3.0, 1.5, seed=11)])
+    def test_generate_synthetic_matches_former_expression(self, spec):
+        (want_train, want_test), centers = former_generate(spec)
+        train, test, emb = data.generate_synthetic(spec)
+        for ds, (features, labels) in ((train, want_train), (test, want_test)):
+            assert ds.features.shape == features.shape
+            assert ds.features.tobytes() == features.tobytes()
+            assert ds.labels.tobytes() == labels.tobytes()
+        assert emb.vectors.tobytes() == centers.tobytes()

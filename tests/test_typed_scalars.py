@@ -1,6 +1,7 @@
 """Counts follow the integer rule seeds follow (a numbers.Integral, numpy's
-integers included), and the curriculum's scalars are type-checked: each
-wrong type raises the module's own error naming the field, never a bare
+integers included), and the curriculum's scalars and the float fields of
+ExperimentConfig and SyntheticSpec follow its real-number rule: each wrong
+type raises the module's own error naming the field, never a bare
 TypeError from deeper down."""
 
 import numpy as np
@@ -69,3 +70,36 @@ def test_numpy_scalars_are_accepted():
     assert cur.one_hot(1, np.int64(3)).probs.tolist() == [0.0, 1.0, 0.0]
     assert cur.label_smoothing(0, np.int32(2), np.float32(0.5)).probs.tolist() == [0.75, 0.25]
     assert cur.TargetSchedule(targets=np.eye(2), epsilon=np.float32(0.5)).epsilon == 0.5
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"encoding": "LCL", "epsilon": "0.5"}, "epsilon"),
+    ({"encoding": "SL", "lr": "0.1"}, "lr"),
+    ({"encoding": "SL", "dr": None}, "dr"),
+    ({"encoding": "LS", "alpha": "0.1"}, "alpha"),
+    ({"encoding": "KD", "kd_temperature": "2"}, "kd_temperature"),
+    ({"encoding": "SL", "lr_decay": None}, "lr_decay"),
+    ({"encoding": "SL", "lam": [0.0]}, "lam"),
+])
+def test_config_floats_must_be_real(kwargs, name):
+    with pytest.raises(ex.ExperimentError, match=f"^{name} must be a real number, got "):
+        ex.ExperimentConfig(**kwargs)
+
+
+def test_config_floats_take_numpy_floats_and_integers():
+    cfg = ex.ExperimentConfig("LCL", epsilon=np.float32(0.5), dr=1, lr=np.float64(0.1),
+                              lam=np.int64(0))
+    assert (cfg.epsilon, cfg.dr, cfg.lr, cfg.lam) == (0.5, 1, 0.1, 0)
+    assert ex.ExperimentConfig("LS", alpha=np.float16(0.25)).effective_alpha == 0.25
+
+
+@pytest.mark.parametrize("name", ["intra_spread", "inter_spread", "noise_sigma"])
+@pytest.mark.parametrize("value", ["1", None])
+def test_synthetic_floats_must_be_real(name, value):
+    with pytest.raises(data.DataError, match=f"^{name} must be a real number, got "):
+        data.SyntheticSpec(**{**SPEC, name: value})
+
+
+def test_synthetic_floats_take_numpy_floats():
+    spec = data.SyntheticSpec(**{**SPEC, "intra_spread": np.float32(0.5), "noise_sigma": 1})
+    assert data.generate_synthetic(spec)[0].dim == 3
