@@ -21,8 +21,8 @@ class CurriculumError(ValueError):
 
 def _is_integer(value):
     """The one integer rule of every count, index and seed: a numbers.Integral,
-    numpy's integers included."""
-    return isinstance(value, numbers.Integral)
+    numpy's integers included, other than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _integer(name, value, error=CurriculumError):
@@ -33,9 +33,9 @@ def _integer(name, value, error=CurriculumError):
 
 
 def _real(name, value, error=CurriculumError):
-    """value, if it is a real number (numbers.Real, numpy's floats included);
-    else `error` naming the field."""
-    if not isinstance(value, numbers.Real):
+    """value, if it is a real number (numbers.Real, numpy's floats included)
+    other than a bool; else `error` naming the field."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise error(f"{name} must be a real number, got {value!r}")
     return value
 

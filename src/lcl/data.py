@@ -4,6 +4,7 @@ curriculum structure to exploit."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -13,6 +14,9 @@ import numpy as np
 from . import _files
 from .curriculum import _integer, _real
 from .similarity import EmbeddingTable
+
+
+LOAD_ROWS = 1024  # lines of a dataset file numpy's C parser reads at once
 
 
 class DataError(ValueError):
@@ -112,9 +116,11 @@ def _read_metadata(line, meta):
 
 def _parse_fast(fh):
     """(metadata, labels, features) of a file in save_dataset's layout, read
-    by numpy's C parser. None for any other layout, for any entry the parser
-    rejects or warns about, and for a non-finite feature: the Python parser
-    then reads the file and names the line at fault."""
+    by numpy's C parser LOAD_ROWS lines at a time into arrays sized by a
+    first count of the lines, so the data is held once. None for any other
+    layout, for any entry the parser rejects or warns about, and for a
+    non-finite feature: the Python parser then reads the file and names the
+    line at fault."""
     meta = {}
     first, header = fh.readline(), fh.readline()
     if not (first.startswith("#") and header.startswith("label,")):
@@ -122,17 +128,28 @@ def _parse_fast(fh):
     _read_metadata(first, meta)
     if "classes" not in meta or "split" not in meta:
         return None
-    dtype = [("label", np.int64), ("x", np.float64, (header.strip().count(","),))]
+    d = header.strip().count(",")
+    dtype = [("label", np.int64), ("x", np.float64, (d,))]
+    body = fh.tell()
+    lines = sum(1 for _ in fh)  # blank lines included: at least the row count
+    fh.seek(body)
+    labels, features = np.empty(lines, np.int64), np.empty((lines, d))
+    n = 0
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # "input contained no data", float labels
-            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            warnings.simplefilter("error")  # any other warning (a float label) falls back
+            warnings.filterwarnings("ignore", ".*input contained no data")  # blank lines only
+            for _ in range(0, lines, LOAD_ROWS):
+                rows = np.loadtxt(itertools.islice(fh, LOAD_ROWS), dtype=dtype,
+                                  delimiter=",", comments=None, ndmin=1)
+                if not np.isfinite(rows["x"]).all():
+                    return None
+                labels[n:n + len(rows)], features[n:n + len(rows)] = rows["label"], rows["x"]
+                n += len(rows)
+                del rows  # one block alive at a time
     except (ValueError, OverflowError, Warning):
         return None
-    features = np.ascontiguousarray(rows["x"])
-    if not np.isfinite(features).all():
-        return None
-    return meta, rows["label"].copy(), features
+    return (meta, labels[:n], features[:n]) if n else None  # no body: the Python parser's error
 
 
 def _parse_python(path):

@@ -7,9 +7,9 @@ import csv
 import math
 import os
 import re
+import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +28,17 @@ DEFAULT_ALPHA = 0.1  # LS
 DEFAULT_TEMPERATURE = 1.0  # KD
 LOSS_LOG_ROWS = 64  # rows whose losses are computed at once, rounded to whole batches
 SHARED_TABLE_BYTES = 16 * 2 ** 20  # LCL tables a suite keeps for one run of a config's seeds
+EVAL_ROWS = 1024  # test rows per forward pass in evaluation
+
+
+def __getattr__(name):
+    """ProcessPoolExecutor, imported when first asked for, so that a serial
+    run never loads the multiprocessing modules."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def _is_seed(seed):
@@ -157,11 +168,12 @@ def topk_accuracy(pred_probs, labels, k):
         raise ExperimentError(f"k={k} out of range for C={probs.shape[1]}")
     if labels.shape != probs.shape[:1] or labels.min() < 0 or labels.max() >= probs.shape[1]:
         raise ExperimentError(f"need one label in [0, {probs.shape[1]}) per row")
-    return _topk_accuracies(probs, labels, (k,))[0]
+    return _topk_hits(probs, labels, (k,))[0] / probs.shape[0]
 
 
-def _topk_accuracies(probs, labels, ks):
-    """topk_accuracy for each k in ks from one ranking of checked inputs."""
+def _topk_hits(probs, labels, ks):
+    """For each k in ks, the number of rows of checked inputs whose true label
+    is among the k most probable classes, from one ranking."""
     # NaN has no place in the order below, so non-finite entries are rejected
     if not np.isfinite(probs).all():
         raise ExperimentError("non-finite prediction entries")
@@ -173,7 +185,7 @@ def _topk_accuracies(probs, labels, ks):
     tied = probs == true
     tied &= np.arange(probs.shape[1]) < labels[:, None]
     rank += np.add.reduce(tied, axis=1)
-    return [float(np.mean(rank < k)) for k in ks]
+    return [int(np.add.reduce(rank < k)) for k in ks]
 
 
 def _log_losses(pending, targets, b, lam, out):
@@ -241,9 +253,15 @@ def _train(config, models, xs, index, table_at, shuffle_rng):
 
 
 def _evaluate(params, test):
-    """Top-1 and top-5 accuracy (top-C when C < 5) of params on the test set."""
-    preds = model.forward(params, test.features)
-    return tuple(_topk_accuracies(preds, test.labels, (1, min(5, test.num_classes))))
+    """Top-1 and top-5 accuracy (top-C when C < 5) of params on the test set:
+    the forward pass and the ranking run over EVAL_ROWS rows at a time, and
+    the summed hit counts are divided once, as topk_accuracy divides."""
+    ks, n = (1, min(5, test.num_classes)), test.num_examples
+    hits = np.zeros(len(ks), dtype=np.int64)
+    for start in range(0, n, EVAL_ROWS):
+        rows = slice(start, start + EVAL_ROWS)
+        hits += _topk_hits(model.forward(params, test.features[rows]), test.labels[rows], ks)
+    return tuple(int(h) / n for h in hits)
 
 
 def check_inputs(configs, train, test, sim=None):
@@ -604,7 +622,8 @@ def run_suite(configs, train, test, sim=None, out_dir=".", jobs=1):
         tasks += [(cfg, cfg.seeds[n * i // k:n * (i + 1) // k]) for i in range(k)]
     outcomes = []
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the module's attribute, read here: __getattr__ imports the pool on first use
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_seeds, *task, train, test, sim) for task in tasks]
             for (cfg, seeds), fut in zip(tasks, futures):
                 try:

@@ -14,7 +14,7 @@ SPEC = dict(num_superclusters=2, classes_per_supercluster=2, dim=3, train_per_cl
 
 
 @pytest.mark.parametrize("name", ["epochs", "batch_size", "hidden"])
-@pytest.mark.parametrize("value", [2.5, 2.0, "2", None])
+@pytest.mark.parametrize("value", [2.5, 2.0, "2", None, True, False])
 def test_config_counts_must_be_integers(name, value):
     with pytest.raises(ex.ExperimentError, match=f"^{name} must be an integer, got "):
         ex.ExperimentConfig("SL", **{name: value})
@@ -28,7 +28,7 @@ def test_config_counts_take_numpy_integers():
 
 @pytest.mark.parametrize("name", ["num_superclusters", "classes_per_supercluster", "dim",
                                   "train_per_class", "test_per_class", "seed"])
-@pytest.mark.parametrize("value", [2.5, 1.5, "2"])
+@pytest.mark.parametrize("value", [2.5, 1.5, "2", True, False])
 def test_synthetic_counts_must_be_integers(name, value):
     with pytest.raises(data.DataError, match=f"^{name} must be an integer, got "):
         data.SyntheticSpec(**{**SPEC, name: value})
@@ -56,6 +56,15 @@ MALFORMED = {
                       "^alpha must be a real number, got None$"),
     "text alpha": (lambda: cur.label_smoothing(0, 4, "0.1"),
                    "^alpha must be a real number, got '0.1'$"),
+    "bool step_count": (lambda: cur.TargetSchedule(targets=np.eye(2), epsilon=0.5,
+                                                   step_count=True),
+                        "^step_count must be an integer, got True$"),
+    "bool epsilon": (lambda: cur.TargetSchedule(targets=np.eye(2), epsilon=True),
+                     "^epsilon must be a real number, got True$"),
+    "bool num_classes": (lambda: cur.one_hot(0, True),
+                         "^num_classes must be an integer, got True$"),
+    "bool alpha": (lambda: cur.label_smoothing(0, 4, False),
+                   "^alpha must be a real number, got False$"),
 }
 
 
@@ -80,10 +89,27 @@ def test_numpy_scalars_are_accepted():
     ({"encoding": "KD", "kd_temperature": "2"}, "kd_temperature"),
     ({"encoding": "SL", "lr_decay": None}, "lr_decay"),
     ({"encoding": "SL", "lam": [0.0]}, "lam"),
+    ({"encoding": "SL", "lr": True}, "lr"),
+    ({"encoding": "SL", "dr": True}, "dr"),
+    ({"encoding": "SL", "lam": False}, "lam"),
+    ({"encoding": "LCL", "epsilon": True}, "epsilon"),
+    ({"encoding": "KD", "kd_temperature": True}, "kd_temperature"),
 ])
 def test_config_floats_must_be_real(kwargs, name):
     with pytest.raises(ex.ExperimentError, match=f"^{name} must be a real number, got "):
         ex.ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("seeds", [(True,), (0, False)])
+def test_bool_seeds_are_not_seeds(seeds):
+    with pytest.raises(ex.ExperimentError, match=r"^seeds must be integers >= 0, got "):
+        ex.ExperimentConfig("SL", seeds=seeds)
+
+
+def test_bool_trial_seed_is_not_a_seed():
+    train, test, _ = data.generate_synthetic(data.SyntheticSpec(**SPEC))
+    with pytest.raises(ex.ExperimentError, match="^seed must be an integer >= 0, got True$"):
+        ex.run_trial(ex.ExperimentConfig("SL", epochs=1, seeds=(1,)), True, train, test)
 
 
 def test_config_floats_take_numpy_floats_and_integers():
@@ -94,7 +120,7 @@ def test_config_floats_take_numpy_floats_and_integers():
 
 
 @pytest.mark.parametrize("name", ["intra_spread", "inter_spread", "noise_sigma"])
-@pytest.mark.parametrize("value", ["1", None])
+@pytest.mark.parametrize("value", ["1", None, True])
 def test_synthetic_floats_must_be_real(name, value):
     with pytest.raises(data.DataError, match=f"^{name} must be a real number, got "):
         data.SyntheticSpec(**{**SPEC, name: value})
