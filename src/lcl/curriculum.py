@@ -13,6 +13,7 @@ from . import _files
 SIMPLEX_TOL = 1e-12
 DECAY_TOL = 1e-12
 ENTROPY_TOL = 1e-14
+VERIFY_BLOCK_BYTES = 2 ** 18  # a row block of verify_curriculum, sized to stay in cache
 
 
 class CurriculumError(ValueError):
@@ -49,12 +50,17 @@ def _off_simplex(t):
                    & (np.abs(sums - 1.0) <= SIMPLEX_TOL))
 
 
-def _off_argmax(t):
-    """The rows of the square t whose diagonal entry is not strictly above
-    the row's other entries; a NaN anywhere in a row puts it in the mask."""
-    off = t.copy()
-    off.reshape(-1)[::t.shape[0] + 1] = -np.inf  # a C-ordered copy: reshape is a view
-    return ~(t.diagonal() > np.maximum.reduce(off, axis=1))
+def _off_argmax(t, off=None, first=0):
+    """The rows of t, rows first, first + 1, ... of a square matrix, whose
+    diagonal entry is not strictly above the row's other entries; a NaN
+    anywhere in a row puts it in the mask. `off`, if given, is a C-ordered
+    buffer of t's shape that the test overwrites."""
+    if off is None:
+        off = t.copy()
+    else:
+        off[...] = t
+    off.reshape(-1)[first::t.shape[1] + 1] = -np.inf  # C-ordered: reshape is a view
+    return ~(t.diagonal(first) > np.maximum.reduce(off, axis=1))
 
 
 @dataclass(frozen=True)
@@ -122,11 +128,25 @@ def step_row(row, true_class, epsilon):
     return out
 
 
-def _step_matrix(t, epsilon):
-    denom = 1.0 + epsilon * (np.add.reduce(t, axis=1) - t.diagonal())
-    out = epsilon * t
+def _step_matrix(t, epsilon, sums=None, out=None, first=0):
+    """The cooling update of t, rows first, first + 1, ... of a square
+    matrix, into `out` if given (not t); `sums`, if given, are t's row sums."""
+    if sums is None:
+        sums = np.add.reduce(t, axis=1)
+    denom = 1.0 + epsilon * (sums - t.diagonal(first))
+    out = np.multiply(t, epsilon, out=out)
     out /= denom[:, None]
-    out.flat[::t.shape[0] + 1] = 1.0 / denom
+    out.flat[first::t.shape[1] + 1] = 1.0 / denom
+    return out
+
+
+def _unchecked(targets, epsilon, step_count):
+    """A TargetSchedule of these fields, skipping the constructor's checks:
+    for steps of a checked schedule, which the cooling update keeps on the
+    simplex with its argmax fixed (verify_curriculum checks that claim)."""
+    out = object.__new__(TargetSchedule)
+    object.__setattr__(out, "__dict__", {"targets": targets, "epsilon": epsilon,
+                                         "step_count": step_count})
     return out
 
 
@@ -141,13 +161,15 @@ def step(schedule):
 
 
 def advance_to(schedule, t):
-    """Evolve the schedule to step t by repeated application of step()."""
+    """Evolve the schedule to step t by repeated application of the cooling
+    update; the steps of a checked schedule are not checked again."""
     if _integer("t", t) < schedule.step_count:
         raise CurriculumError(
             f"cannot rewind schedule from step {schedule.step_count} to {t}")
     out = schedule
     for _ in range(t - schedule.step_count):
-        out = step(out)
+        out = _unchecked(_step_matrix(out.targets, out.epsilon), out.epsilon,
+                         out.step_count + 1)
     return out
 
 
@@ -219,57 +241,94 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+AXIOMS = ("simplex", "argmax", "entropy-decrease", "geometric-decay")  # report order
+
+
 def verify_curriculum(schedule, horizon):
     """Evolve the schedule for `horizon` steps and check, at every step:
     simplex membership, fixed argmax, strictly decreasing entropy (unless the
-    row is already one-hot), and the geometric off-diagonal decay bound."""
+    row is already one-hot), and the geometric off-diagonal decay bound.
+
+    A row evolves and is checked on its own, so blocks of rows of about
+    VERIFY_BLOCK_BYTES each run through the whole horizon while their arrays
+    stay in cache; the violations are then listed by step, axiom and row."""
     if _integer("horizon", horizon) < 1:
         raise CurriculumError("horizon must be >= 1")
-    c = schedule.num_classes
-    eps = schedule.epsilon
-    initial = schedule.targets.copy()
+    c, eps = schedule.num_classes, schedule.epsilon
     entropies = np.zeros((horizon + 1, c))
     violations = []
-    off_mask = ~np.eye(c, dtype=bool)
-    prev_off_mass = np.zeros(c)
-    cur = schedule.targets.copy()
+    rows = max(1, VERIFY_BLOCK_BYTES // (8 * c))
+    for first in range(0, c, rows):
+        block = slice(first, first + rows)
+        violations += _verify_rows(schedule.targets[block], first, eps, horizon,
+                                   entropies[:, block])
+    violations.sort(key=lambda v: (v.step, AXIOMS.index(v.axiom), v.row))
+    return VerificationReport(horizon=horizon, epsilon=eps,
+                              entropies=entropies, violations=violations)
 
-    def row_entropies(mat):
-        # 0 ln 0 = 0, and so are the terms of negative and NaN entries;
-        # 0.0 - sum keeps a one-hot row's entropy at +0.0
-        safe = np.where(mat > 0.0, mat, 1.0)
-        terms = np.log(safe)
-        terms *= safe
-        return 0.0 - terms.sum(axis=1)
 
+def _verify_rows(initial, first, eps, horizon, entropies):
+    """verify_curriculum's checks of the rows `initial`, rows first, first + 1,
+    ... of a C x C schedule: returns their violations and writes their
+    entropies into the (horizon + 1, rows) view `entropies`.
+
+    Each axiom is first tested on the whole block; its per-row mask is built
+    only at a step where that test fails. The current and next rows swap
+    between two buffers and `work` holds each test's temporaries, so no step
+    allocates an array of the block's size."""
+    n, c = initial.shape
+    cur = np.array(initial, order="C")
+    nxt, work = np.empty_like(cur), np.empty_like(cur)
+    over = np.empty((n, c), dtype=bool)
+    sums = np.empty(n)
+    prev_off_mass = np.zeros(n)
+    found = []
     for t in range(horizon + 1):
-        entropies[t] = row_entropies(cur)
-        row_sums, off_simplex = _off_simplex(cur)
-        for i in np.flatnonzero(off_simplex):
-            violations.append(AxiomViolation(
-                "simplex", int(i), t, f"residual {abs(row_sums[i] - 1.0):.3g}"))
-        for i in np.flatnonzero(_off_argmax(cur)) if c > 1 else []:
-            violations.append(AxiomViolation(
-                "argmax", int(i), t, f"argmax at {int(np.argmax(cur[i]))}"))
+        np.add.reduce(cur, axis=1, out=sums)
+        nonnegative = np.minimum.reduce(cur, axis=None) >= 0.0  # NaN fails it
+        # 0 ln 0 = 0, and so are the terms of negative and NaN entries: work
+        # is cur > 0 ? cur : 1, which for nonnegative cur is cur + (cur == 0)
+        if nonnegative:
+            np.equal(cur, 0.0, out=work)
+            work += cur
+        else:
+            work.fill(1.0)
+            np.copyto(work, cur, where=cur > 0.0)
+        np.log(work, out=nxt)
+        nxt *= work
+        h = entropies[t]
+        np.add.reduce(nxt, axis=1, out=h)
+        np.subtract(0.0, h, out=h)  # 0.0 - sum keeps a one-hot row's entropy at +0.0
+        if not (nonnegative and np.maximum.reduce(np.abs(sums - 1.0)) <= SIMPLEX_TOL):
+            for i in np.flatnonzero(_off_simplex(cur)[1]):
+                found.append(AxiomViolation(
+                    "simplex", first + int(i), t, f"residual {abs(sums[i] - 1.0):.3g}"))
+        for i in _off_argmax(cur, work, first).nonzero()[0] if c > 1 else ():
+            found.append(AxiomViolation(
+                "argmax", first + int(i), t, f"argmax at {int(np.argmax(cur[i]))}"))
         if t > 0:
             # strict decrease, with 1e-14 slack for rounding, unless the row
             # had already collapsed to one-hot
             rising = (prev_off_mass > SIMPLEX_TOL) & \
                 (entropies[t] >= entropies[t - 1] + ENTROPY_TOL)
-            for i in np.flatnonzero(rising):
-                violations.append(AxiomViolation(
-                    "entropy-decrease", int(i), t,
+            for i in rising.nonzero()[0]:
+                found.append(AxiomViolation(
+                    "entropy-decrease", first + int(i), t,
                     f"H went {entropies[t - 1, i]:.17g} -> {entropies[t, i]:.17g}"))
-            over = off_mask & (cur > eps ** t * initial + DECAY_TOL)
-            for i in np.flatnonzero(over.any(axis=1)):
-                violations.append(AxiomViolation(
-                    "geometric-decay", int(i), t,
-                    f"off-diagonal {int(np.argmax(over[i]))} above eps^t bound"))
-        prev_off_mass = row_sums - cur.diagonal()
+            np.multiply(initial, eps ** t, out=work)  # the bound eps^t * initial + DECAY_TOL
+            work += DECAY_TOL
+            np.greater(cur, work, out=over)
+            over.reshape(-1)[first::c + 1] = False  # off-diagonal entries only
+            if np.logical_or.reduce(over, axis=None):
+                for i in np.flatnonzero(np.logical_or.reduce(over, axis=1)):
+                    found.append(AxiomViolation(
+                        "geometric-decay", first + int(i), t,
+                        f"off-diagonal {int(np.argmax(over[i]))} above eps^t bound"))
+        prev_off_mass = sums - cur.diagonal(first)
         if t < horizon:
-            cur = _step_matrix(cur, eps)
-    return VerificationReport(horizon=horizon, epsilon=eps,
-                              entropies=entropies, violations=violations)
+            _step_matrix(cur, eps, sums, out=nxt, first=first)
+            cur, nxt = nxt, cur
+    return found
 
 
 def off_diagonal_mass_closed_form(s0, epsilon, t):

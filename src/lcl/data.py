@@ -41,7 +41,10 @@ class Dataset:
             raise DataError(f"unknown split {self.split!r}")
         if feats.shape[0] != labels.shape[0]:
             raise DataError("feature row count does not match label count")
-        if not np.all(np.isfinite(feats)):
+        # NaN and +-inf make the maximum or the minimum non-finite, with no
+        # (n, d) mask; an empty matrix has neither and is refused below
+        if feats.size and not (np.isfinite(np.maximum.reduce(feats, axis=None))
+                               and np.isfinite(np.minimum.reduce(feats, axis=None))):
             raise DataError("non-finite feature entries")
         if labels.size == 0:
             raise DataError("empty dataset")

@@ -45,6 +45,15 @@ def _is_seed(seed):
     return curriculum._is_integer(seed) and seed >= 0
 
 
+def _check_seeds(seeds):
+    """Raise ExperimentError unless the tuple seeds is nonempty and holds
+    integers >= 0 only."""
+    if not seeds:
+        raise ExperimentError("at least one seed is required")
+    if not all(map(_is_seed, seeds)):
+        raise ExperimentError(f"seeds must be integers >= 0, got {seeds}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One cell of the experiment grid (seeds enumerate paired trials)."""
@@ -100,10 +109,7 @@ class ExperimentConfig:
             raise ExperimentError("epochs, batch_size and hidden must be >= 1")
         if self.architecture not in model.ARCHITECTURES:
             raise ExperimentError(f"unknown architecture {self.architecture!r}")
-        if not self.seeds:
-            raise ExperimentError("at least one seed is required")
-        if not all(map(_is_seed, self.seeds)):
-            raise ExperimentError(f"seeds must be integers >= 0, got {self.seeds}")
+        _check_seeds(self.seeds)
 
     @property
     def effective_alpha(self):
@@ -492,23 +498,36 @@ def _optional_float(text):
     return None if text == "" else float(text)
 
 
-def _result_from_row(row):
+def _result_from_row(row, configs):
+    """The TrialResult of one raw CSV row. configs maps each distinct
+    (encoding, dr, epsilon, alpha, KD temperature, epochs) text of the rows
+    read so far to its ExperimentConfig, checked once, at the key's first row;
+    later rows check only their own seed."""
     if None in row or None in row.values():
         raise ValueError(f"expected {len(RAW_HEADER)} cells")
     config_id, encoding = row["config_id"], row["encoding"]
-    epsilon, alpha = _optional_float(row["epsilon"]), _optional_float(row["alpha"])
     # the raw CSV has no temperature column; a KD config_id starts "KD-T<T>_"
     kd = re.match(r"KD-T([^_]+)_", config_id) if encoding == "KD" else None
-    config = ExperimentConfig(
-        encoding=encoding, dr=float(row["dr"]), seeds=(int(row["seed"]),),
-        epsilon=epsilon, alpha=alpha, kd_temperature=float(kd.group(1)) if kd else None,
-        epochs=int(row["epochs"]))
+    key = (encoding, row["dr"], row["epsilon"], row["alpha"], kd.group(1) if kd else None,
+           row["epochs"])
+    config = configs.get(key)
+    if config is None:
+        epsilon, alpha = _optional_float(row["epsilon"]), _optional_float(row["alpha"])
+        config = ExperimentConfig(
+            encoding=encoding, dr=float(row["dr"]), seeds=(int(row["seed"]),),
+            epsilon=epsilon, alpha=alpha, kd_temperature=float(kd.group(1)) if kd else None,
+            epochs=int(row["epochs"]))
+        configs[key] = config
+        seed = config.seeds[0]
+    else:
+        seed = int(row["seed"])
+        _check_seeds((seed,))
     label = config.method_label if encoding != "DML" else \
         "DML2" if config_id.endswith("_m2") else "DML1"
     final_loss = float(row["final_loss"])
     return TrialResult(
         config_id=config_id, method_label=label, encoding=encoding,
-        epsilon=epsilon, alpha=alpha, dr=config.dr, seed=config.seeds[0],
+        epsilon=config.epsilon, alpha=config.alpha, dr=config.dr, seed=seed,
         top1=float(row["top1"]), top5=float(row["top5"]), final_loss=final_loss,
         loss_history=(final_loss,), epochs=config.epochs,
         wall_ms=float(row["wall_ms"]))
@@ -517,16 +536,17 @@ def _result_from_row(row):
 def read_raw_csv(path):
     """Trial results from a raw CSV written by write_raw_csv, without loss
     histories or parameters. A malformed row, or one whose config a grid
-    cell would reject, raises ExperimentError naming path:line."""
+    cell would reject, raises ExperimentError naming path:line; each distinct
+    config is checked once."""
     with _files.named(path, ExperimentError), open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(RAW_HEADER) - set(reader.fieldnames or [])
         if missing:
             raise ExperimentError(f"{path}: missing columns {sorted(missing)}")
-        results = []
+        results, configs = [], {}
         for row in reader:
             try:
-                results.append(_result_from_row(row))
+                results.append(_result_from_row(row, configs))
             except ValueError as exc:
                 raise ExperimentError(f"{path}:{reader.line_num}: {exc}") from exc
     return results

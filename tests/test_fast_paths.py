@@ -334,6 +334,95 @@ class TestVerifyMatchesFormerCode:
         expected[np.arange(9), np.arange(9)] = 1.0 / denom
         assert cur.step(schedule).targets.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_hundred_classes_over_300_steps(self, kind):
+        rng = np.random.default_rng(20 + KINDS.index(kind))
+        quiet = {"invalid": "ignore"} if kind == "inf entry" else {}
+        t = random_targets(rng, 100, kind)
+        eps = float(rng.choice([0.3, 0.97, 0.999]))
+        with np.errstate(**quiet), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = cur.verify_curriculum(bypass_schedule(t, eps), 300)
+            entropies, violations = reference_verify(bypass_schedule(t, eps), 300)
+        assert report.violations == violations
+        assert report.entropies.tobytes() == entropies.tobytes()
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 5])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_row_blocks_give_the_bits_and_order_of_the_whole_matrix(self, monkeypatch, kind,
+                                                                    block_rows):
+        """Blocks of a few rows, the last one short where C is not a multiple,
+        list the violations by step, axiom and row as the former code did."""
+        rng = np.random.default_rng(30 + KINDS.index(kind))
+        quiet = {"invalid": "ignore"} if kind == "inf entry" else {}
+        for c in (3, 7, 12):
+            monkeypatch.setattr(cur, "VERIFY_BLOCK_BYTES", block_rows * 8 * c)
+            t = random_targets(rng, c, kind)
+            eps = float(rng.choice([0.3, 0.9, 0.999]))
+            with np.errstate(**quiet), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = cur.verify_curriculum(bypass_schedule(t, eps), 15)
+                entropies, violations = reference_verify(bypass_schedule(t, eps), 15)
+            assert report.violations == violations
+            assert report.entropies.tobytes() == entropies.tobytes()
+
+    @pytest.mark.parametrize("kind", ["valid", "nan row", "argmax off the diagonal",
+                                      "off the simplex"])
+    def test_default_blocks_at_400_classes(self, kind):
+        assert cur.VERIFY_BLOCK_BYTES // (8 * 400) < 400  # several row blocks, one short
+        rng = np.random.default_rng(40 + KINDS.index(kind))
+        t = random_targets(rng, 400, kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = cur.verify_curriculum(bypass_schedule(t, 0.95), 8)
+            entropies, violations = reference_verify(bypass_schedule(t, 0.95), 8)
+        assert report.violations == violations
+        assert report.entropies.tobytes() == entropies.tobytes()
+
+
+class TestUncheckedAdvance:
+    """advance_to builds each step without the constructor's checks; its
+    tables must be the bytes of the checked public step, whose results the
+    checked constructor built."""
+
+    @pytest.mark.parametrize("kind", ["valid", "one-hot rows"])
+    def test_2000_steps_equal_checked_steps(self, kind):
+        rng = np.random.default_rng(50 + KINDS.index(kind))
+        for c in (1, 2, 5, 20):
+            for eps in (0.3, 0.9, 0.999):
+                schedule = cur.TargetSchedule(targets=random_targets(rng, c, kind), epsilon=eps)
+                checked = unchecked = schedule
+                for k in range(1, 2001):
+                    checked = cur.step(checked)
+                    unchecked = cur.advance_to(unchecked, k)
+                    assert unchecked.targets.tobytes() == checked.targets.tobytes()
+                    assert (type(unchecked), unchecked.epsilon, unchecked.step_count) == \
+                        (cur.TargetSchedule, eps, k)
+                assert cur.advance_to(schedule, 2000).targets.tobytes() == \
+                    checked.targets.tobytes()
+
+    def test_1000_classes_for_200_steps(self):
+        rng = np.random.default_rng(52)
+        sim = rng.random(size=(1000, 1000)) * 0.5
+        np.fill_diagonal(sim, 1.0)
+        checked = cur.init_targets(types.SimpleNamespace(entries=sim), 0.999)
+        unchecked = cur.advance_to(checked, 0)
+        for k in range(1, 201):
+            checked = cur.step(checked)
+            unchecked = cur.advance_to(unchecked, k)
+            assert unchecked.targets.tobytes() == checked.targets.tobytes()
+
+    def test_advance_runs_no_checks(self, monkeypatch):
+        schedule = cur.TargetSchedule(targets=random_targets(np.random.default_rng(53), 6,
+                                                             "valid"), epsilon=0.9)
+        checks = []
+        monkeypatch.setattr(cur.TargetSchedule, "__post_init__",
+                            lambda self: checks.append(self.step_count))
+        assert cur.advance_to(schedule, 50).step_count == 50
+        assert checks == []
+        cur.step(schedule)
+        assert checks == [1]
+
 
 def laid_out(a, layout):
     """The 2-D array a as a C-ordered, an F-ordered or a strided (every other

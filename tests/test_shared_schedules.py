@@ -29,13 +29,14 @@ def row_bits(r):
 
 
 def count_steps(monkeypatch):
-    """The step counts of every curriculum.step call from now on."""
-    calls, step = [], curriculum.step
+    """One entry per cooling update of a schedule from now on: advance_to
+    steps through curriculum._step_matrix, as the public step does."""
+    calls, step = [], curriculum._step_matrix
 
-    def counted(schedule):
-        calls.append(schedule.step_count)
-        return step(schedule)
-    monkeypatch.setattr(curriculum, "step", counted)
+    def counted(t, epsilon, *args):
+        calls.append(epsilon)
+        return step(t, epsilon, *args)
+    monkeypatch.setattr(curriculum, "_step_matrix", counted)
     return calls
 
 
