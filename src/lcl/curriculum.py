@@ -140,13 +140,13 @@ def _step_matrix(t, epsilon, sums=None, out=None, first=0):
     return out
 
 
-def _unchecked(targets, epsilon, step_count):
-    """A TargetSchedule of these fields, skipping the constructor's checks:
-    for steps of a checked schedule, which the cooling update keeps on the
+def _unchecked(cls, fields):
+    """The frozen dataclass cls with the attribute dict fields, skipping its
+    constructor's checks: for results that a checked input keeps valid, such
+    as steps of a checked schedule, which the cooling update keeps on the
     simplex with its argmax fixed (verify_curriculum checks that claim)."""
-    out = object.__new__(TargetSchedule)
-    object.__setattr__(out, "__dict__", {"targets": targets, "epsilon": epsilon,
-                                         "step_count": step_count})
+    out = object.__new__(cls)
+    object.__setattr__(out, "__dict__", fields)
     return out
 
 
@@ -168,8 +168,9 @@ def advance_to(schedule, t):
             f"cannot rewind schedule from step {schedule.step_count} to {t}")
     out = schedule
     for _ in range(t - schedule.step_count):
-        out = _unchecked(_step_matrix(out.targets, out.epsilon), out.epsilon,
-                         out.step_count + 1)
+        out = _unchecked(TargetSchedule, {"targets": _step_matrix(out.targets, out.epsilon),
+                                          "epsilon": out.epsilon,
+                                          "step_count": out.step_count + 1})
     return out
 
 

@@ -7,7 +7,6 @@ import csv
 import math
 import os
 import re
-import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -31,16 +30,6 @@ SHARED_TABLE_BYTES = 16 * 2 ** 20  # LCL tables a suite keeps for one run of a c
 EVAL_ROWS = 1024  # test rows per forward pass in evaluation
 
 
-def __getattr__(name):
-    """ProcessPoolExecutor, imported when first asked for, so that a serial
-    run never loads the multiprocessing modules."""
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-    globals()[name] = ProcessPoolExecutor
-    return ProcessPoolExecutor
-
-
 def _is_seed(seed):
     return curriculum._is_integer(seed) and seed >= 0
 
@@ -62,8 +51,8 @@ class ExperimentConfig:
     dr: float = 1.0
     seeds: tuple = (0, 1, 2, 3)
     epsilon: float | None = None  # LCL only
-    alpha: float | None = None  # LS only
-    kd_temperature: float | None = None  # KD only
+    alpha: float | None = None  # LS only; DEFAULT_ALPHA when not given
+    kd_temperature: float | None = None  # KD only; DEFAULT_TEMPERATURE when not given
     epochs: int = 30
     batch_size: int = 16
     lr: float = 0.1
@@ -82,6 +71,10 @@ class ExperimentConfig:
             raise ExperimentError("alpha applies to LS only")
         if self.kd_temperature is not None and self.encoding != "KD":
             raise ExperimentError("kd_temperature applies to KD only")
+        if self.encoding == "LS" and self.alpha is None:
+            object.__setattr__(self, "alpha", DEFAULT_ALPHA)
+        if self.encoding == "KD" and self.kd_temperature is None:
+            object.__setattr__(self, "kd_temperature", DEFAULT_TEMPERATURE)
         required = ("dr", "lr", "lr_decay", "lam")  # the other three may be None
         for name in required + ("epsilon", "alpha", "kd_temperature"):
             if name in required or getattr(self, name) is not None:
@@ -91,9 +84,9 @@ class ExperimentConfig:
         # every range test is written so that NaN fails it; lr alone may be
         # +inf, a one-step divergence that the training loop's final check
         # reports (a config file admits finite numbers only)
-        if not 0.0 <= self.effective_alpha <= 1.0:
+        if self.encoding == "LS" and not 0.0 <= self.alpha <= 1.0:
             raise ExperimentError("alpha must lie in [0, 1]")
-        if not 0.0 < self.effective_temperature < math.inf:
+        if self.encoding == "KD" and not 0.0 < self.kd_temperature < math.inf:
             raise ExperimentError("kd_temperature must be finite and > 0")
         if not 0.0 < self.dr <= 1.0:
             raise ExperimentError("dr must lie in (0, 1]")
@@ -112,22 +105,14 @@ class ExperimentConfig:
         _check_seeds(self.seeds)
 
     @property
-    def effective_alpha(self):
-        return DEFAULT_ALPHA if self.alpha is None else self.alpha
-
-    @property
-    def effective_temperature(self):
-        return DEFAULT_TEMPERATURE if self.kd_temperature is None else self.kd_temperature
-
-    @property
     def method_label(self):
-        """Encoding plus its own hyperparameter, default filled in; no DR/seed."""
+        """Encoding plus its own hyperparameter; no DR/seed."""
         if self.encoding == "LCL":
             return f"LCL(eps={self.epsilon:g})"
         if self.encoding == "LS":
-            return f"LS(alpha={self.effective_alpha:g})"
+            return f"LS(alpha={self.alpha:g})"
         if self.encoding == "KD":
-            return f"KD(T={self.effective_temperature:g})"
+            return f"KD(T={self.kd_temperature:g})"
         return self.encoding
 
     @property
@@ -328,7 +313,7 @@ def run_trial(config, seed, train, test, sim=None, debug_verify=False, *, _sched
     table_at = lambda epoch: table  # late-bound: a branch below may replace table
     models, shuffle = [init(1)], rng(3)
     if config.encoding == "LS":
-        table = np.stack([curriculum.label_smoothing(i, c, config.effective_alpha).probs
+        table = np.stack([curriculum.label_smoothing(i, c, config.alpha).probs
                           for i in range(c)])
     elif config.encoding == "LCL":
         if debug_verify:
@@ -341,7 +326,7 @@ def run_trial(config, seed, train, test, sim=None, debug_verify=False, *, _sched
         # teacher is a full-budget SL run under the same seed streams
         (teacher,), _ = _train(config, models, xs, index, table_at, shuffle)
         table = model.logits(teacher, xs)  # softmax(logits / T), in place
-        table /= config.effective_temperature
+        table /= config.kd_temperature
         model._softmax(table, out=table)
         index = np.arange(len(ys))  # the soft targets are picked by row
         models, shuffle = [init(2)], rng(4)
@@ -350,12 +335,11 @@ def run_trial(config, seed, train, test, sim=None, debug_verify=False, *, _sched
     models, histories = _train(config, models, xs, index, table_at, shuffle)
     scores = [_evaluate(params, test) for params in models]
     wall_ms = (time.perf_counter() - t_start) * 1000.0
-    alpha = config.effective_alpha if config.encoding == "LS" else None
 
     def result(m, config_id, label, companion=None):
         return TrialResult(
             config_id=config_id, method_label=label, encoding=config.encoding,
-            epsilon=config.epsilon, alpha=alpha, dr=config.dr, seed=seed,
+            epsilon=config.epsilon, alpha=config.alpha, dr=config.dr, seed=seed,
             top1=scores[m][0], top5=scores[m][1], final_loss=histories[m][-1],
             loss_history=tuple(histories[m]), epochs=config.epochs, wall_ms=wall_ms,
             final_params=models[m], companion=companion)
@@ -630,8 +614,11 @@ def run_suite(configs, train, test, sim=None, out_dir=".", jobs=1):
     of a task whose worker died, is recorded in errors.log and the suite
     continues; an errors.log left in out_dir by an earlier run is removed
     first. Two trials in one rank-table cell raise ExperimentError once
-    raw_results.csv and aggregate.csv are written.
+    raw_results.csv and aggregate.csv are written; a `jobs` that is not an
+    integer >= 1 raises ExperimentError before out_dir is touched.
     """
+    if curriculum._integer("jobs", jobs, ExperimentError) < 1:
+        raise ExperimentError(f"jobs must be >= 1, got {jobs}")
     os.makedirs(out_dir, exist_ok=True)
     errors_path = os.path.join(out_dir, "errors.log")
     if os.path.exists(errors_path):
@@ -642,8 +629,8 @@ def run_suite(configs, train, test, sim=None, out_dir=".", jobs=1):
         tasks += [(cfg, cfg.seeds[n * i // k:n * (i + 1) // k]) for i in range(k)]
     outcomes = []
     if jobs > 1 and len(tasks) > 1:
-        # the module's attribute, read here: __getattr__ imports the pool on first use
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_seeds, *task, train, test, sim) for task in tasks]
             for (cfg, seeds), fut in zip(tasks, futures):
                 try:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _files
-from .curriculum import TargetVector
+from .curriculum import TargetVector, _unchecked
 
 PROB_FLOOR = 1e-12
 CHECKPOINT_MAGIC = "LCLM1"
@@ -64,16 +64,6 @@ class ClassifierParams:
 
 
 GradientBundle = ClassifierParams
-
-
-def _unchecked(architecture, fields):
-    """ClassifierParams with fields, its arrays by LAYOUT name, as its attribute
-    dict, skipping the constructor's checks: for results of checked parameters,
-    whose finiteness the training loop checks at epoch and trial boundaries."""
-    fields["architecture"] = architecture
-    out = object.__new__(ClassifierParams)
-    object.__setattr__(out, "__dict__", fields)
-    return out
 
 
 def init_params(architecture, input_dim, num_classes, hidden=64, seed=0):
@@ -205,7 +195,9 @@ def gradient(params, batch, lam=0.0):
 def gradient_from_arrays(params, xs, err, lam=0.0, hidden=None):
     """Backpropagation on dense (n, d) inputs and the (n, C) per-example
     error at the logits (pred - target for the cross-entropy term). hidden is
-    the hidden layer forward_batch returned for xs; None recomputes it."""
+    the hidden layer forward_batch returned for xs; None recomputes it. The
+    result skips the ClassifierParams checks: the training loop checks
+    finiteness at epoch and trial boundaries."""
     err = err / xs.shape[0]
     if params.architecture == "linear":
         grads = {"W_out": xs.T @ err, "b_out": np.add.reduce(err, axis=0)}
@@ -217,7 +209,8 @@ def gradient_from_arrays(params, xs, err, lam=0.0, hidden=None):
     if lam:  # weight decay on the weights, every other array in LAYOUT order
         for name in LAYOUT[params.architecture][::2]:
             grads[name] += lam * getattr(params, name)
-    return _unchecked(params.architecture, grads)
+    grads["architecture"] = params.architecture
+    return _unchecked(ClassifierParams, grads)
 
 
 def sgd_step(params, grads, lr):
@@ -225,10 +218,10 @@ def sgd_step(params, grads, lr):
     the result skips the ClassifierParams checks."""
     if grads.architecture != params.architecture:
         raise ModelError("gradient/parameter architecture mismatch")
-    old, step, new = vars(params), vars(grads), {}
+    old, step, new = vars(params), vars(grads), {"architecture": params.architecture}
     for name in LAYOUT[params.architecture]:
         new[name] = old[name] - lr * step[name]
-    return _unchecked(params.architecture, new)
+    return _unchecked(ClassifierParams, new)
 
 
 def save_checkpoint(params, path):

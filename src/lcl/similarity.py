@@ -96,18 +96,20 @@ class SimilarityMatrix:
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "class_names", tuple(self.class_names))
         c = len(self.class_names)
+        if not c:
+            raise SimilarityError("a similarity matrix needs at least one class")
         if m.shape != (c, c):
             raise SimilarityError("entries must be square and match class names")
         if not np.all(np.isfinite(m)):
             raise SimilarityError("similarity matrix has non-finite entries")
         if not np.array_equal(m, m.T):
             raise SimilarityError("similarity matrix must be exactly symmetric")
-        if np.any(m < 0.0) or np.any(m > 1.0):
+        if m.min() < 0.0 or m.max() > 1.0:
             raise SimilarityError("entries must lie in [0, 1]")
-        if not np.all(np.diag(m) == 1.0):
+        if not np.all(m.diagonal() == 1.0):
             raise SimilarityError("diagonal entries must equal 1")
-        off = m - np.eye(c)
-        if c > 1 and np.max(off - np.diag(np.diag(off))) >= 1.0:
+        # entries are <= 1 and the c diagonal ones equal 1: any other 1 is off it
+        if np.count_nonzero(m == 1.0) > c:
             raise SimilarityError("off-diagonal entry reaches 1 (no strict dominance)")
 
     @property
@@ -142,6 +144,8 @@ class HierarchyGraph:
                 raise SimilarityError(f"leaf {leaf!r} is not reachable from any root")
         if parents & set(self.leaves):
             raise SimilarityError("a declared leaf has children")
+        if not self.leaves:
+            raise SimilarityError("no leaf classes")
 
     @property
     def nodes(self):
@@ -171,12 +175,12 @@ def load_embeddings(path, expected_dim=None):
                 raise SimilarityError(f"{path}:{lineno}: expected a name and values")
             names.append(parts[0])
             rows.append(_files.floats(parts[1:], f"{path}:{lineno}", SimilarityError))
+            if len(rows[-1]) != len(rows[0]):
+                raise SimilarityError(f"{path}:{lineno}: {len(rows[-1])} values, "
+                                      f"expected {len(rows[0])}")
     if not names:
         raise SimilarityError(f"{path}: no embedding rows")
-    dims = {len(r) for r in rows}
-    if len(dims) != 1:
-        raise SimilarityError(f"{path}: inconsistent dimensions {sorted(dims)}")
-    d = dims.pop()
+    d = len(rows[0])
     if expected_dim is not None and d != expected_dim:
         raise SimilarityError(f"{path}: dimension {d}, expected {expected_dim}")
     with _files.named(path, SimilarityError, SimilarityError):
@@ -328,21 +332,24 @@ def load_similarity(path):
     """Read a similarity matrix written by save_similarity."""
     with _files.named(path, SimilarityFileError), open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            names = next(reader)
-        except StopIteration:
-            raise SimilarityFileError(f"{path}: empty similarity file") from None
-        rows = []
+        names = next(reader, [])
+        if not names:  # no header, or one that names no class
+            raise SimilarityFileError(f"{path}: empty similarity file")
+        # every row is parsed and checked, the first C kept and all counted
+        m, count = np.empty((len(names), len(names))), 0
         for row in filter(None, reader):
-            rows.append(_files.floats(row, f"{path}:{reader.line_num}", SimilarityFileError))
+            values = _files.floats(row, f"{path}:{reader.line_num}", SimilarityFileError)
             if len(row) != len(names):
                 raise SimilarityFileError(f"{path}:{reader.line_num}: {len(row)} entries, "
                                           f"expected {len(names)}")
-    if len(rows) != len(names):
-        raise SimilarityFileError(f"{path}: expected {len(names)} rows, got {len(rows)}")
+            if count < len(names):
+                m[count] = values
+            count += 1
+    if count != len(names):
+        raise SimilarityFileError(f"{path}: expected {len(names)} rows, got {count}")
     # the matrix, not the file's form, is at fault: `lcl verify` exits 1 on it
     with _files.named(path, SimilarityError, SimilarityError):
-        return SimilarityMatrix(entries=np.array(rows), class_names=names, source="external")
+        return SimilarityMatrix(entries=m, class_names=names, source="external")
 
 
 def identity_similarity(class_names):

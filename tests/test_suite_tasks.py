@@ -4,6 +4,7 @@ config's LCL tables. Serially a config is one task; with `jobs` its seeds are
 cut into up to `jobs` contiguous runs. Both give the bits of a standalone
 run_trial, and a worker that dies leaves no trial unaccounted for."""
 
+import concurrent.futures
 import os
 
 import pytest
@@ -51,7 +52,7 @@ def test_parallel_rows_equal_serial_and_standalone(task, tmp_path, monkeypatch,
     assert rows(2) == standalone
 
 
-class CountingPool(ex.ProcessPoolExecutor):
+class CountingPool(concurrent.futures.ProcessPoolExecutor):
     submitted = []
 
     def submit(self, fn, *args, **kwargs):
@@ -61,7 +62,7 @@ class CountingPool(ex.ProcessPoolExecutor):
 
 def test_one_config_grid_is_cut_into_jobs_tasks(task, tmp_path, monkeypatch):
     train, test, sim = task
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(CountingPool, "submitted", [])
     cfg = config("LCL", seeds=tuple(range(8)), epsilon=0.9)
     results, _, _ = ex.run_suite([cfg], train, test, sim, out_dir=str(tmp_path), jobs=2)
@@ -72,7 +73,7 @@ def test_one_config_grid_is_cut_into_jobs_tasks(task, tmp_path, monkeypatch):
 
 def test_serial_suite_starts_no_pool(task, tmp_path, monkeypatch):
     train, test, sim = task
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(CountingPool, "submitted", [])
     ex.run_suite([config("SL"), config("LCL", epsilon=0.9)], train, test, sim,
                  out_dir=str(tmp_path))

@@ -116,7 +116,7 @@ def test_config_floats_take_numpy_floats_and_integers():
     cfg = ex.ExperimentConfig("LCL", epsilon=np.float32(0.5), dr=1, lr=np.float64(0.1),
                               lam=np.int64(0))
     assert (cfg.epsilon, cfg.dr, cfg.lr, cfg.lam) == (0.5, 1, 0.1, 0)
-    assert ex.ExperimentConfig("LS", alpha=np.float16(0.25)).effective_alpha == 0.25
+    assert ex.ExperimentConfig("LS", alpha=np.float16(0.25)).alpha == 0.25
 
 
 @pytest.mark.parametrize("name", ["intra_spread", "inter_spread", "noise_sigma"])
