@@ -103,5 +103,6 @@ def test_load_similarity_holds_one_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(back.entries, sim.entries)
-    # the matrix, plus C x C boolean masks (1/8 of it each) and one row's text
-    assert peak < 1.5 * sim.entries.nbytes
+    # the matrix, plus a C x C boolean mask (1/8 of it) and one row's text
+    # (1.3x here); rows held as lists of Python floats took 8x
+    assert peak < 2 * sim.entries.nbytes
