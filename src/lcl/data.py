@@ -173,7 +173,7 @@ def _parse_python(path):
             parts = line.split(",")
             try:
                 labels.append(int(parts[0]))
-                rows.append([float(x) for x in parts[1:]])
+                rows.append(np.array([float(x) for x in parts[1:]]))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
             if len(rows[-1]) != len(rows[0]):
@@ -185,7 +185,7 @@ def _parse_python(path):
     if not rows:
         raise DataError(f"{path}: no data rows")
     features = np.array(rows)
-    del rows  # the per-row lists outweigh the array; free them before the check
+    del rows  # free the per-row arrays before the check
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise DataError(f"{path}:{linenos[bad[0]]}: non-finite feature")

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _files
+from .curriculum import _integer, _real
 
 DOMINANCE_TOL = 1e-12
 SIMRANK_DECAY = 0.8  # simrank's default, and `lcl build-sim --decay`'s
@@ -134,6 +135,7 @@ class HierarchyGraph:
             if p in preds.setdefault(c, []):
                 raise SimilarityError(f"repeated edge {p!r} -> {c!r}")
             preds[c].append(p)
+        object.__setattr__(self, "_parents", preds)  # child -> parents, in edge order
         try:
             graphlib.TopologicalSorter(preds).prepare()
         except graphlib.CycleError as exc:  # args[1]: the cycle, parent -> child
@@ -149,21 +151,17 @@ class HierarchyGraph:
 
     @property
     def nodes(self):
-        seen = {}
-        for p, c in self.edges:
-            seen.setdefault(p, None)
-            seen.setdefault(c, None)
-        for leaf in self.leaves:
-            seen.setdefault(leaf, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys([x for edge in self.edges for x in edge] + list(self.leaves)))
 
     def parents_of(self, node):
-        return tuple(p for p, c in self.edges if c == node)
+        return tuple(self._parents.get(node, ()))
 
 
 def load_embeddings(path, expected_dim=None):
     """Read a whitespace-separated embedding file: one `name f1 ... fd` line
     per class, `#` comments ignored. Line order defines the class index."""
+    if expected_dim is not None:
+        _integer("expected_dim", expected_dim, SimilarityError)
     names, rows = [], []
     with _files.named(path, SimilarityError), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -174,7 +172,7 @@ def load_embeddings(path, expected_dim=None):
             if len(parts) < 2:
                 raise SimilarityError(f"{path}:{lineno}: expected a name and values")
             names.append(parts[0])
-            rows.append(_files.floats(parts[1:], f"{path}:{lineno}", SimilarityError))
+            rows.append(np.array(_files.floats(parts[1:], f"{path}:{lineno}", SimilarityError)))
             if len(rows[-1]) != len(rows[0]):
                 raise SimilarityError(f"{path}:{lineno}: {len(rows[-1])} values, "
                                       f"expected {len(rows[0])}")
@@ -183,8 +181,10 @@ def load_embeddings(path, expected_dim=None):
     d = len(rows[0])
     if expected_dim is not None and d != expected_dim:
         raise SimilarityError(f"{path}: dimension {d}, expected {expected_dim}")
+    vectors = np.array(rows)
+    del rows  # the table's checks then hold the vectors and one temporary of their size
     with _files.named(path, SimilarityError, SimilarityError):
-        return EmbeddingTable(class_names=names, vectors=np.array(rows, dtype=float))
+        return EmbeddingTable(class_names=names, vectors=vectors)
 
 
 def save_embeddings(table, path):
@@ -240,32 +240,20 @@ def build_cosine_similarity(table, clamp_negative=True):
     the diagonal to strictly dominate.
     """
     normed = table.vectors / np.linalg.norm(table.vectors, axis=1, keepdims=True)
-    gram = normed @ normed.T
-    c = table.num_classes
-    iu = np.triu_indices(c, k=1)
-    upper = gram[iu]
-    too_close = upper >= 1.0 - DOMINANCE_TOL
-    if np.any(too_close):
-        k = int(np.argmax(too_close))
-        i, j = int(iu[0][k]), int(iu[1][k])
-        raise SimilarityError(
-            f"classes {table.class_names[i]!r} and {table.class_names[j]!r} "
-            "have duplicate directions (cosine = 1)"
-        )
-    clamped = int(np.sum(upper < 0.0))
+    m = np.triu(normed @ normed.T, 1)  # one triangle, mirrored below: exactly symmetric
+    too_close = np.flatnonzero(m >= 1.0 - DOMINANCE_TOL)
+    if too_close.size:
+        i, j = divmod(int(too_close[0]), table.num_classes)
+        raise SimilarityError(f"classes {table.class_names[i]!r} and "
+                              f"{table.class_names[j]!r} have duplicate directions (cosine = 1)")
+    clamped = np.count_nonzero(m < 0.0)
     if clamped and not clamp_negative:
         raise SimilarityError(f"{clamped} negative cosine entries with clamping disabled")
-    upper = np.clip(upper, 0.0, None)
-    # one triangle, mirrored, so symmetry holds to the last bit
-    m = np.eye(c)
-    m[iu] = upper
-    m[(iu[1], iu[0])] = upper
-    return SimilarityMatrix(
-        entries=m,
-        class_names=table.class_names,
-        source="embedding-cosine",
-        clamped_entries=clamped,
-    )
+    np.maximum(m, 0.0, out=m)
+    m += m.T  # adds the lower triangle's zeros, which also turns -0.0 into 0.0
+    np.fill_diagonal(m, 1.0)
+    return SimilarityMatrix(entries=m, class_names=table.class_names, source="embedding-cosine",
+                            clamped_entries=clamped)
 
 
 def simrank(graph, decay=SIMRANK_DECAY):
@@ -277,33 +265,41 @@ def simrank(graph, decay=SIMRANK_DECAY):
     Sweeps start from S = I. The graph is acyclic, so a pair's value is final
     one sweep after its parents' pairs are: the fixed point is reached
     exactly within longest-path + 1 sweeps, and the loop stops at the first
-    sweep that leaves S bitwise unchanged. Work and memory per sweep grow
-    with the square of the edge count."""
-    if not 0.0 < decay < 1.0:
+    sweep that leaves S bitwise unchanged. Memory grows with the square of
+    the node count, work with that times the largest in-degree squared."""
+    if not 0.0 < _real("decay", decay, SimilarityError) < 1.0:
         raise SimilarityError("decay must lie in (0, 1)")
     nodes = graph.nodes
     index = {n: i for i, n in enumerate(nodes)}
     n = len(nodes)
-    parent, child = np.array([(index[p], index[c]) for p, c in graph.edges],
-                             dtype=np.intp).reshape(-1, 2).T
-    # Each edge pair (p -> a, q -> b) with a < b adds S[p, q] to the sum for
-    # (a, b). np.nonzero walks the pairs row-major in edge order, so each sum
-    # runs over parents(a) x parents(b) row by row; the lower triangle is the
-    # mirror of the upper, so S stays exactly symmetric.
-    e1, e2 = np.nonzero(child[:, None] < child[None, :])
-    src = parent[e1] * n + parent[e2]
-    dst = child[e1] * n + child[e2]
-    counts = np.bincount(child, minlength=n)
+    # Each node's parents in edge order, padded to the largest in-degree with
+    # node n, whose row and column of s stay 0. Summing S[P_a, P_b] over the
+    # slots, a outer and b inner, adds S[p, q] in the pairwise loop's order,
+    # and each pad adds an exact 0. The upper triangle is mirrored, so S stays
+    # exactly symmetric.
+    parents = [graph.parents_of(node) for node in nodes]
+    k = max(map(len, parents))
+    padded = np.array([[index[p] for p in ps] + [n] * (k - len(ps)) for ps in parents]).T
+    counts = np.array([len(ps) for ps in parents])
     pair_counts = np.maximum(np.outer(counts, counts), 1)
-    s = np.eye(n)
+    s = np.eye(n + 1)
+    s[n, n] = 0.0
+    rows, sums, new = np.empty((n, n + 1)), np.empty((n, n)), np.empty((n, n))
+    lower = np.tri(n, dtype=bool)  # the diagonal and below, zeroed before the mirror
     while True:
-        sums = np.bincount(dst, weights=s.ravel()[src], minlength=n * n)
-        upper = decay * sums.reshape(n, n) / pair_counts
-        new = upper + upper.T
+        sums.fill(0.0)
+        for pa in padded:  # mode="clip" (indices are in range) writes out= unbuffered
+            np.take(s, pa, axis=0, out=rows, mode="clip")
+            for pb in padded:
+                sums += np.take(rows, pb, axis=1, out=new, mode="clip")
+        sums *= decay
+        sums /= pair_counts
+        sums[lower] = 0.0
+        np.add(sums, sums.T, out=new)
         np.fill_diagonal(new, 1.0)
-        if np.array_equal(new, s):
+        if np.array_equal(new, s[:n, :n]):
             break
-        s = new
+        s[:n, :n] = new
     leaf_idx = [index[leaf] for leaf in graph.leaves]
     return SimilarityMatrix(entries=s[np.ix_(leaf_idx, leaf_idx)],
                             class_names=graph.leaves, source="simrank")
