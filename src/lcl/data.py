@@ -143,8 +143,8 @@ def _parse_fast(fh):
             warnings.simplefilter("error")  # any other warning (a float label) falls back
             warnings.filterwarnings("ignore", ".*input contained no data")  # blank lines only
             for _ in range(0, lines, LOAD_ROWS):
-                rows = np.loadtxt(itertools.islice(fh, LOAD_ROWS), dtype=dtype,
-                                  delimiter=",", comments=None, ndmin=1)
+                block = (line for line in itertools.islice(fh, LOAD_ROWS) if not line.isspace())
+                rows = np.loadtxt(block, dtype=dtype, delimiter=",", comments=None, ndmin=1)
                 if not np.isfinite(rows["x"]).all():
                     return None
                 labels[n:n + len(rows)], features[n:n + len(rows)] = rows["label"], rows["x"]

@@ -58,10 +58,6 @@ class ClassifierParams:
     def is_finite(self):
         return all(np.all(np.isfinite(arr)) for arr in self.arrays())
 
-    @property
-    def num_classes(self):
-        return self.b_out.shape[0]
-
 
 GradientBundle = ClassifierParams
 

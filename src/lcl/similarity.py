@@ -136,10 +136,13 @@ class HierarchyGraph:
                 raise SimilarityError(f"repeated edge {p!r} -> {c!r}")
             preds[c].append(p)
         object.__setattr__(self, "_parents", preds)  # child -> parents, in edge order
+        depth = {}  # edges on the longest path from a root
         try:
-            graphlib.TopologicalSorter(preds).prepare()
+            for node in graphlib.TopologicalSorter(preds).static_order():
+                depth[node] = max((depth[p] + 1 for p in preds.get(node, ())), default=0)
         except graphlib.CycleError as exc:  # args[1]: the cycle, parent -> child
             raise SimilarityError("cycle " + " -> ".join(map(repr, exc.args[1]))) from None
+        object.__setattr__(self, "_depth", max(depth.values(), default=0))
         parents = {p for p, _ in self.edges}
         for leaf in self.leaves:
             if leaf not in preds:
@@ -263,10 +266,10 @@ def simrank(graph, decay=SIMRANK_DECAY):
     without parents stay at similarity 0 to everything but themselves.
 
     Sweeps start from S = I. The graph is acyclic, so a pair's value is final
-    one sweep after its parents' pairs are: the fixed point is reached
-    exactly within longest-path + 1 sweeps, and the loop stops at the first
-    sweep that leaves S bitwise unchanged. Memory grows with the square of
-    the node count, work with that times the largest in-degree squared."""
+    one sweep after its parents' pairs are, and S is the fixed point after as
+    many sweeps as the longest path from a root has edges. Memory grows with
+    the square of the node count, work with that times the largest in-degree
+    squared."""
     if not 0.0 < _real("decay", decay, SimilarityError) < 1.0:
         raise SimilarityError("decay must lie in (0, 1)")
     nodes = graph.nodes
@@ -284,22 +287,19 @@ def simrank(graph, decay=SIMRANK_DECAY):
     pair_counts = np.maximum(np.outer(counts, counts), 1)
     s = np.eye(n + 1)
     s[n, n] = 0.0
-    rows, sums, new = np.empty((n, n + 1)), np.empty((n, n)), np.empty((n, n))
+    rows, sums, block = np.empty((n, n + 1)), np.empty((n, n)), np.empty((n, n))
     lower = np.tri(n, dtype=bool)  # the diagonal and below, zeroed before the mirror
-    while True:
+    for _ in range(graph._depth):
         sums.fill(0.0)
         for pa in padded:  # mode="clip" (indices are in range) writes out= unbuffered
             np.take(s, pa, axis=0, out=rows, mode="clip")
             for pb in padded:
-                sums += np.take(rows, pb, axis=1, out=new, mode="clip")
+                sums += np.take(rows, pb, axis=1, out=block, mode="clip")
         sums *= decay
         sums /= pair_counts
         sums[lower] = 0.0
-        np.add(sums, sums.T, out=new)
-        np.fill_diagonal(new, 1.0)
-        if np.array_equal(new, s[:n, :n]):
-            break
-        s[:n, :n] = new
+        np.add(sums, sums.T, out=s[:n, :n])
+        np.fill_diagonal(s[:n, :n], 1.0)
     leaf_idx = [index[leaf] for leaf in graph.leaves]
     return SimilarityMatrix(entries=s[np.ix_(leaf_idx, leaf_idx)],
                             class_names=graph.leaves, source="simrank")
