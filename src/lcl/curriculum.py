@@ -63,6 +63,17 @@ def _off_argmax(t, off=None, first=0):
     return ~(t.diagonal(first) > np.maximum.reduce(off, axis=1))
 
 
+def _dominant(diagonal):
+    """Whether rows on the probability simplex keep their argmax at the true
+    class, read from the diagonal alone: with no negative entry and a row sum
+    at most 1 + SIMPLEX_TOL, a diagonal entry d above 1/2 + SIMPLEX_TOL beats
+    every other entry, which is at most 1 + SIMPLEX_TOL - d (a sum's rounding
+    error is far below SIMPLEX_TOL). A checked schedule passes it from step 1
+    on, where each diagonal entry is about 1 / (1 + epsilon) or more, unless
+    epsilon is within 4e-12 of 1."""
+    return np.minimum.reduce(diagonal) > 0.5 + SIMPLEX_TOL
+
+
 @dataclass(frozen=True)
 class TargetVector:
     """A single target distribution over C classes with its true class."""
@@ -102,9 +113,10 @@ class TargetSchedule:
             raise CurriculumError("targets must be a non-empty square matrix")
         if np.logical_or.reduce(_off_simplex(t)[1]):
             raise CurriculumError("every row must be on the probability simplex")
-        bad = _off_argmax(t)
-        if np.logical_or.reduce(bad):
-            raise CurriculumError(f"row {bad.argmax()}: argmax is not the true class")
+        if not _dominant(t.diagonal()):
+            bad = _off_argmax(t)
+            if np.logical_or.reduce(bad):
+                raise CurriculumError(f"row {bad.argmax()}: argmax is not the true class")
 
     @property
     def num_classes(self):
@@ -274,7 +286,8 @@ def _verify_rows(initial, first, eps, horizon, entropies):
     entropies into the (horizon + 1, rows) view `entropies`.
 
     Each axiom is first tested on the whole block; its per-row mask is built
-    only at a step where that test fails. The current and next rows swap
+    only at a step where that test fails; the argmax's is _dominant, on a
+    block that passed the simplex test. The current and next rows swap
     between two buffers and `work` holds each test's temporaries, so no step
     allocates an array of the block's size."""
     n, c = initial.shape
@@ -287,26 +300,30 @@ def _verify_rows(initial, first, eps, horizon, entropies):
     for t in range(horizon + 1):
         np.add.reduce(cur, axis=1, out=sums)
         nonnegative = np.minimum.reduce(cur, axis=None) >= 0.0  # NaN fails it
-        # 0 ln 0 = 0, and so are the terms of negative and NaN entries: work
-        # is cur > 0 ? cur : 1, which for nonnegative cur is cur + (cur == 0)
+        # 0 ln 0 = 0: a zero entry's term is ln(5e-324) * 0 = -0.0, which
+        # leaves its row's sum as it was. Negative and NaN entries also give
+        # 0, as ln(1) * 1 with work = cur > 0 ? cur : 1
         if nonnegative:
-            np.equal(cur, 0.0, out=work)
-            work += cur
+            np.maximum(cur, 5e-324, out=work)
+            weight = cur
         else:
             work.fill(1.0)
             np.copyto(work, cur, where=cur > 0.0)
+            weight = work
         np.log(work, out=nxt)
-        nxt *= work
+        nxt *= weight
         h = entropies[t]
         np.add.reduce(nxt, axis=1, out=h)
         np.subtract(0.0, h, out=h)  # 0.0 - sum keeps a one-hot row's entropy at +0.0
-        if not (nonnegative and np.maximum.reduce(np.abs(sums - 1.0)) <= SIMPLEX_TOL):
+        on_simplex = nonnegative and np.maximum.reduce(np.abs(sums - 1.0)) <= SIMPLEX_TOL
+        if not on_simplex:
             for i in np.flatnonzero(_off_simplex(cur)[1]):
                 found.append(AxiomViolation(
                     "simplex", first + int(i), t, f"residual {abs(sums[i] - 1.0):.3g}"))
-        for i in _off_argmax(cur, work, first).nonzero()[0] if c > 1 else ():
-            found.append(AxiomViolation(
-                "argmax", first + int(i), t, f"argmax at {int(np.argmax(cur[i]))}"))
+        if c > 1 and not (on_simplex and _dominant(cur.diagonal(first))):
+            for i in _off_argmax(cur, work, first).nonzero()[0]:
+                found.append(AxiomViolation(
+                    "argmax", first + int(i), t, f"argmax at {int(np.argmax(cur[i]))}"))
         if t > 0:
             # strict decrease, with 1e-14 slack for rounding, unless the row
             # had already collapsed to one-hot

@@ -99,6 +99,11 @@ class SimilarityMatrix:
         c = len(self.class_names)
         if not c:
             raise SimilarityError("a similarity matrix needs at least one class")
+        seen = set()
+        for name in self.class_names:
+            if name in seen:
+                raise SimilarityError(f"repeated class name {name!r}")
+            seen.add(name)
         if m.shape != (c, c):
             raise SimilarityError("entries must be square and match class names")
         if not np.all(np.isfinite(m)):

@@ -102,6 +102,16 @@ class TestVerify:
     def test_bad_flag_is_usage_error(self):
         assert run(["verify", "--epsilon", "0.9"]) == cli.EXIT_USAGE
 
+    def test_horizon_too_large_to_allocate_is_usage_error(self, workspace, capsys):
+        # 10**14 steps x 4 classes of entropies is 3.2 PB: more than any address
+        # space, so the allocation fails whole, before any of it is touched
+        assert run(["verify", "--sim", str(workspace / "sim.csv"), "--epsilon", "0.9",
+                    "--horizon", str(10 ** 14)]) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        line, = err.splitlines()
+        assert line.startswith("error: ") and "PiB" in line
+
 
 class TestRunAndReport:
     def write_config(self, workspace, out_dir):

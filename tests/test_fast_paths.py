@@ -379,6 +379,58 @@ class TestVerifyMatchesFormerCode:
         assert report.violations == violations
         assert report.entropies.tobytes() == entropies.tobytes()
 
+    # rows on the simplex whose diagonal is at or just above 1/2, where the
+    # diagonal alone does not settle the argmax: (row, its argmax violation)
+    HALF = 0.5 + cur.SIMPLEX_TOL / 4
+    BOUNDARY_ROWS = {
+        "tie at one half": ([0.5, 0.0, 0.5], "argmax at 0"),
+        "diagonal a quarter tolerance above one half": ([1.0 - HALF, 0.0, HALF], None),
+        "other entry above that diagonal": ([0.5 + cur.SIMPLEX_TOL / 2, 0.0, HALF],
+                                            "argmax at 0"),
+    }
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 400])
+    @pytest.mark.parametrize("row", BOUNDARY_ROWS)
+    def test_diagonal_at_one_half(self, monkeypatch, row, block_rows):
+        """The boundary row is the last of an otherwise valid schedule; each
+        block is checked on its own, the boundary row's block included."""
+        monkeypatch.setattr(cur, "VERIFY_BLOCK_BYTES", block_rows * 8 * 3)
+        last, argmax = self.BOUNDARY_ROWS[row]
+        t = random_targets(np.random.default_rng(60), 3, "valid")
+        t[2] = last
+        assert not cur._off_simplex(t)[1].any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = cur.verify_curriculum(bypass_schedule(t, 0.9), 20)
+            entropies, violations = reference_verify(bypass_schedule(t, 0.9), 20)
+        assert report.violations == violations
+        assert report.entropies.tobytes() == entropies.tobytes()
+        # the first step cools the row past the tie
+        assert violations == ([] if argmax is None else
+                              [cur.AxiomViolation("argmax", 2, 0, argmax)])
+        if argmax is None:
+            cur.TargetSchedule(targets=t, epsilon=0.9)  # accepted
+        else:
+            with pytest.raises(cur.CurriculumError, match="^row 2: argmax is not"):
+                cur.TargetSchedule(targets=t, epsilon=0.9)
+
+    @pytest.mark.parametrize("c", [5, 30])
+    def test_subnormal_entries_beside_zeros(self, c):
+        """At epsilon 0.3, off-diagonal entries turn subnormal by step 600 and
+        underflow to 0 by step 700, beside entries that were 0 from the
+        start."""
+        rng = np.random.default_rng(61 + c)
+        schedule = cur.TargetSchedule(targets=random_targets(rng, c, "valid"), epsilon=0.3)
+        t = cur.advance_to(schedule, 600).targets
+        assert ((t > 0.0) & (t < np.finfo(float).tiny)).any() and (t == 0.0).any()
+        assert (cur.advance_to(schedule, 700).targets == np.eye(c)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = cur.verify_curriculum(schedule, 750)
+            entropies, violations = reference_verify(schedule, 750)
+        assert report.passed and violations == []
+        assert report.entropies.tobytes() == entropies.tobytes()
+
 
 class TestUncheckedAdvance:
     """advance_to builds each step without the constructor's checks; its

@@ -191,3 +191,25 @@ def test_run_names_the_asymmetric_similarity_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: {sim}: similarity matrix must be exactly symmetric\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_repeated_class_name_in_a_similarity_header(tmp_path, capsys):
+    sim = tmp_path / "sim.csv"
+    sim.write_text("a,a\n1.0,0.2\n0.2,1.0\n")
+    with pytest.raises(sm.SimilarityError, match=f"^{re.escape(str(sim))}: "
+                                                 "repeated class name 'a'$") as err:
+        sm.load_similarity(sim)
+    assert not isinstance(err.value, sm.SimilarityFileError)
+    assert cli.main(["verify", "--sim", str(sim), "--epsilon", "0.9"]) == cli.EXIT_FAIL
+    assert capsys.readouterr().out == ("verification failed before stepping: "
+                                       f"{sim}: repeated class name 'a'\n")
+    out = tmp_path / "data"
+    assert cli.main(["gen-data", "--superclusters", "1", "--classes-per-supercluster", "2",
+                     "--dim", "3", "--train-per-class", "3", "--test-per-class", "3",
+                     "--out-dir", str(out)]) == cli.EXIT_OK
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[paths]\ntrain = {out / 'train.csv'}\ntest = {out / 'test.csv'}\n"
+                   f"similarity = {sim}\nout_dir = {tmp_path / 'out'}\n"
+                   "[grid]\nencodings = LCL\nepsilons = 0.9\nseeds = 0\n")
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {sim}: repeated class name 'a'\n"
