@@ -268,8 +268,6 @@ def main(argv=None):
     except (UsageError, similarity.SimilarityError, curriculum.CurriculumError,
             data.DataError, experiments.ExperimentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-    except MemoryError as exc:  # numpy's names the size it could not allocate
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
     except OSError as exc:  # a missing, unreadable or unwritable path
         print(f"error: {exc}" if exc.filename is None else
               f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)

@@ -63,17 +63,6 @@ def _off_argmax(t, off=None, first=0):
     return ~(t.diagonal(first) > np.maximum.reduce(off, axis=1))
 
 
-def _dominant(diagonal):
-    """Whether rows on the probability simplex keep their argmax at the true
-    class, read from the diagonal alone: with no negative entry and a row sum
-    at most 1 + SIMPLEX_TOL, a diagonal entry d above 1/2 + SIMPLEX_TOL beats
-    every other entry, which is at most 1 + SIMPLEX_TOL - d (a sum's rounding
-    error is far below SIMPLEX_TOL). A checked schedule passes it from step 1
-    on, where each diagonal entry is about 1 / (1 + epsilon) or more, unless
-    epsilon is within 4e-12 of 1."""
-    return np.minimum.reduce(diagonal) > 0.5 + SIMPLEX_TOL
-
-
 @dataclass(frozen=True)
 class TargetVector:
     """A single target distribution over C classes with its true class."""
@@ -113,10 +102,9 @@ class TargetSchedule:
             raise CurriculumError("targets must be a non-empty square matrix")
         if np.logical_or.reduce(_off_simplex(t)[1]):
             raise CurriculumError("every row must be on the probability simplex")
-        if not _dominant(t.diagonal()):
-            bad = _off_argmax(t)
-            if np.logical_or.reduce(bad):
-                raise CurriculumError(f"row {bad.argmax()}: argmax is not the true class")
+        bad = _off_argmax(t)
+        if np.logical_or.reduce(bad):
+            raise CurriculumError(f"row {bad.argmax()}: argmax is not the true class")
 
     @property
     def num_classes(self):
@@ -268,7 +256,10 @@ def verify_curriculum(schedule, horizon):
     if _integer("horizon", horizon) < 1:
         raise CurriculumError("horizon must be >= 1")
     c, eps = schedule.num_classes, schedule.epsilon
-    entropies = np.zeros((horizon + 1, c))
+    try:
+        entropies = np.zeros((horizon + 1, c))
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        raise CurriculumError(f"horizon {horizon} is too long: {exc}") from exc
     violations = []
     rows = max(1, VERIFY_BLOCK_BYTES // (8 * c))
     for first in range(0, c, rows):
@@ -286,8 +277,7 @@ def _verify_rows(initial, first, eps, horizon, entropies):
     entropies into the (horizon + 1, rows) view `entropies`.
 
     Each axiom is first tested on the whole block; its per-row mask is built
-    only at a step where that test fails; the argmax's is _dominant, on a
-    block that passed the simplex test. The current and next rows swap
+    only at a step where that test fails. The current and next rows swap
     between two buffers and `work` holds each test's temporaries, so no step
     allocates an array of the block's size."""
     n, c = initial.shape
@@ -320,7 +310,13 @@ def _verify_rows(initial, first, eps, horizon, entropies):
             for i in np.flatnonzero(_off_simplex(cur)[1]):
                 found.append(AxiomViolation(
                     "simplex", first + int(i), t, f"residual {abs(sums[i] - 1.0):.3g}"))
-        if c > 1 and not (on_simplex and _dominant(cur.diagonal(first))):
+        # on the simplex, a diagonal entry d above 1/2 + SIMPLEX_TOL beats every
+        # other entry of its row, which is at most 1 + SIMPLEX_TOL - d (a sum's
+        # rounding error is far below SIMPLEX_TOL); from step 1 on a checked
+        # schedule's diagonal is about 1 / (1 + eps) or more, so only step 0
+        # needs the scan, unless eps is within 4e-12 of 1
+        if c > 1 and not (on_simplex and
+                          np.minimum.reduce(cur.diagonal(first)) > 0.5 + SIMPLEX_TOL):
             for i in _off_argmax(cur, work, first).nonzero()[0]:
                 found.append(AxiomViolation(
                     "argmax", first + int(i), t, f"argmax at {int(np.argmax(cur[i]))}"))

@@ -110,7 +110,7 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out == ""
         line, = err.splitlines()
-        assert line.startswith("error: ") and "PiB" in line
+        assert line.startswith(f"error: horizon {10 ** 14} is too long: ") and "PiB" in line
 
 
 class TestRunAndReport:
