@@ -50,16 +50,12 @@ def _off_simplex(t):
                    & (np.abs(sums - 1.0) <= SIMPLEX_TOL))
 
 
-def _off_argmax(t, off=None, first=0):
+def _off_argmax(t, first=0):
     """The rows of t, rows first, first + 1, ... of a square matrix, whose
     diagonal entry is not strictly above the row's other entries; a NaN
-    anywhere in a row puts it in the mask. `off`, if given, is a C-ordered
-    buffer of t's shape that the test overwrites."""
-    if off is None:
-        off = t.copy()
-    else:
-        off[...] = t
-    off.reshape(-1)[first::t.shape[1] + 1] = -np.inf  # C-ordered: reshape is a view
+    anywhere in a row puts it in the mask."""
+    off = t.copy()
+    off.reshape(-1)[first::t.shape[1] + 1] = -np.inf  # a C-ordered copy: reshape is a view
     return ~(t.diagonal(first) > np.maximum.reduce(off, axis=1))
 
 
@@ -128,13 +124,13 @@ def step_row(row, true_class, epsilon):
     return out
 
 
-def _step_matrix(t, epsilon, sums=None, out=None, first=0):
+def _step_matrix(t, epsilon, sums=None, first=0):
     """The cooling update of t, rows first, first + 1, ... of a square
-    matrix, into `out` if given (not t); `sums`, if given, are t's row sums."""
+    matrix, as a new array; `sums`, if given, are t's row sums."""
     if sums is None:
         sums = np.add.reduce(t, axis=1)
     denom = 1.0 + epsilon * (sums - t.diagonal(first))
-    out = np.multiply(t, epsilon, out=out)
+    out = np.multiply(t, epsilon)
     out /= denom[:, None]
     out.flat[first::t.shape[1] + 1] = 1.0 / denom
     return out
@@ -258,7 +254,9 @@ def verify_curriculum(schedule, horizon):
     c, eps = schedule.num_classes, schedule.epsilon
     try:
         entropies = np.zeros((horizon + 1, c))
-    except MemoryError as exc:  # numpy's names the size it could not allocate
+    # numpy's message names the size it could not allocate, or says that no
+    # array can be that large
+    except (MemoryError, ValueError) as exc:
         raise CurriculumError(f"horizon {horizon} is too long: {exc}") from exc
     violations = []
     rows = max(1, VERIFY_BLOCK_BYTES // (8 * c))
@@ -277,34 +275,27 @@ def _verify_rows(initial, first, eps, horizon, entropies):
     entropies into the (horizon + 1, rows) view `entropies`.
 
     Each axiom is first tested on the whole block; its per-row mask is built
-    only at a step where that test fails. The current and next rows swap
-    between two buffers and `work` holds each test's temporaries, so no step
-    allocates an array of the block's size."""
-    n, c = initial.shape
-    cur = np.array(initial, order="C")
-    nxt, work = np.empty_like(cur), np.empty_like(cur)
-    over = np.empty((n, c), dtype=bool)
-    sums = np.empty(n)
-    prev_off_mass = np.zeros(n)
+    only at a step where that test fails. Every temporary is block-sized."""
+    c = initial.shape[1]
+    # row-major, as the row sums' bits and the diagonal masks' reshape views
+    # assume; a C-ordered schedule's block already is, and is not copied
+    cur = initial = np.ascontiguousarray(initial)
     found = []
     for t in range(horizon + 1):
-        np.add.reduce(cur, axis=1, out=sums)
+        sums = np.add.reduce(cur, axis=1)
         nonnegative = np.minimum.reduce(cur, axis=None) >= 0.0  # NaN fails it
         # 0 ln 0 = 0: a zero entry's term is ln(5e-324) * 0 = -0.0, which
         # leaves its row's sum as it was. Negative and NaN entries also give
-        # 0, as ln(1) * 1 with work = cur > 0 ? cur : 1
+        # 0, as ln(1) * 1
         if nonnegative:
-            np.maximum(cur, 5e-324, out=work)
-            weight = cur
+            terms = np.log(np.maximum(cur, 5e-324))
+            terms *= cur
         else:
-            work.fill(1.0)
-            np.copyto(work, cur, where=cur > 0.0)
-            weight = work
-        np.log(work, out=nxt)
-        nxt *= weight
-        h = entropies[t]
-        np.add.reduce(nxt, axis=1, out=h)
-        np.subtract(0.0, h, out=h)  # 0.0 - sum keeps a one-hot row's entropy at +0.0
+            positive = np.where(cur > 0.0, cur, 1.0)
+            terms = np.log(positive)
+            terms *= positive
+        # 0.0 - sum keeps a one-hot row's entropy at +0.0
+        entropies[t] = 0.0 - np.add.reduce(terms, axis=1)
         on_simplex = nonnegative and np.maximum.reduce(np.abs(sums - 1.0)) <= SIMPLEX_TOL
         if not on_simplex:
             for i in np.flatnonzero(_off_simplex(cur)[1]):
@@ -317,7 +308,7 @@ def _verify_rows(initial, first, eps, horizon, entropies):
         # needs the scan, unless eps is within 4e-12 of 1
         if c > 1 and not (on_simplex and
                           np.minimum.reduce(cur.diagonal(first)) > 0.5 + SIMPLEX_TOL):
-            for i in _off_argmax(cur, work, first).nonzero()[0]:
+            for i in _off_argmax(cur, first).nonzero()[0]:
                 found.append(AxiomViolation(
                     "argmax", first + int(i), t, f"argmax at {int(np.argmax(cur[i]))}"))
         if t > 0:
@@ -329,9 +320,7 @@ def _verify_rows(initial, first, eps, horizon, entropies):
                 found.append(AxiomViolation(
                     "entropy-decrease", first + int(i), t,
                     f"H went {entropies[t - 1, i]:.17g} -> {entropies[t, i]:.17g}"))
-            np.multiply(initial, eps ** t, out=work)  # the bound eps^t * initial + DECAY_TOL
-            work += DECAY_TOL
-            np.greater(cur, work, out=over)
+            over = cur > initial * eps ** t + DECAY_TOL
             over.reshape(-1)[first::c + 1] = False  # off-diagonal entries only
             if np.logical_or.reduce(over, axis=None):
                 for i in np.flatnonzero(np.logical_or.reduce(over, axis=1)):
@@ -340,8 +329,7 @@ def _verify_rows(initial, first, eps, horizon, entropies):
                         f"off-diagonal {int(np.argmax(over[i]))} above eps^t bound"))
         prev_off_mass = sums - cur.diagonal(first)
         if t < horizon:
-            _step_matrix(cur, eps, sums, out=nxt, first=first)
-            cur, nxt = nxt, cur
+            cur = _step_matrix(cur, eps, sums, first=first)
     return found
 
 

@@ -159,7 +159,7 @@ def _parse_python(path):
     """Line by line: `#` and blank lines may appear anywhere, and the first
     malformed entry is reported at path:line."""
     meta = {}
-    labels, rows, linenos = [], [], []
+    labels, rows = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -179,17 +179,13 @@ def _parse_python(path):
             if len(rows[-1]) != len(rows[0]):
                 raise DataError(f"{path}:{lineno}: {len(rows[-1])} features, "
                                 f"expected {len(rows[0])}")
-            linenos.append(lineno)
+            if not np.isfinite(rows[-1]).all():
+                raise DataError(f"{path}:{lineno}: non-finite feature")
     if "classes" not in meta or "split" not in meta:
         raise DataError(f"{path}: missing `# classes=<C> split=<train|test>` metadata")
     if not rows:
         raise DataError(f"{path}: no data rows")
-    features = np.array(rows)
-    del rows  # free the per-row arrays before the check
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad.size:
-        raise DataError(f"{path}:{linenos[bad[0]]}: non-finite feature")
-    return meta, np.array(labels), features
+    return meta, np.array(labels), np.array(rows)
 
 
 def load_dataset(path):
@@ -231,23 +227,25 @@ def generate_synthetic(spec):
     Gaussian noise. The class centers double as the class embedding vectors,
     so cosine similarity is higher within a supercluster."""
     rng = np.random.default_rng(spec.seed)
-    c_total = spec.num_classes
-    super_centers = rng.normal(0.0, spec.inter_spread,
-                               size=(spec.num_superclusters, spec.dim))
-    centers = np.repeat(super_centers, spec.classes_per_supercluster, axis=0) \
-        + rng.normal(0.0, spec.intra_spread, size=(c_total, spec.dim))
-
-    def draw_split(per_class, split):
-        # the noise of each class's rows, plus its center in place: the draws
-        # and sums of center-per-row + noise, with no second (n, d) array
-        feats = rng.normal(0.0, spec.noise_sigma, size=(c_total, per_class, spec.dim))
-        feats += centers[:, None, :]
-        labels = np.repeat(np.arange(c_total), per_class)
-        return Dataset(features=feats.reshape(c_total * per_class, spec.dim), labels=labels,
-                       num_classes=c_total, split=split)
-
-    train = draw_split(spec.train_per_class, "train")
-    test = draw_split(spec.test_per_class, "test")
+    c_total, dim = spec.num_classes, spec.dim
+    try:
+        super_centers = rng.normal(0.0, spec.inter_spread, size=(spec.num_superclusters, dim))
+        centers = np.repeat(super_centers, spec.classes_per_supercluster, axis=0) \
+            + rng.normal(0.0, spec.intra_spread, size=(c_total, dim))
+        splits = []
+        for per_class in (spec.train_per_class, spec.test_per_class):
+            # the noise of each class's rows, plus its center in place: the draws
+            # and sums of center-per-row + noise, with no second (n, d) array
+            feats = rng.normal(0.0, spec.noise_sigma, size=(c_total, per_class, dim))
+            feats += centers[:, None, :]
+            splits.append((feats.reshape(c_total * per_class, dim),
+                           np.repeat(np.arange(c_total), per_class)))
+    # numpy's message names the size it could not allocate, or says that no
+    # array can be that large
+    except (MemoryError, ValueError) as exc:
+        raise DataError(f"synthetic data too large to generate: {exc}") from exc
+    train, test = (Dataset(features=feats, labels=labels, num_classes=c_total, split=split)
+                   for (feats, labels), split in zip(splits, ("train", "test")))
     names = [f"c{s}_{k}" for s in range(spec.num_superclusters)
              for k in range(spec.classes_per_supercluster)]
     embeddings = EmbeddingTable(class_names=names, vectors=centers)

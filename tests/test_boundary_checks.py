@@ -128,9 +128,12 @@ def write_dataset(path, rows):
 
 
 class TestDataRejectedAtLoad:
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_feature_names_path_line(self, tmp_path, value):
-        path = write_dataset(tmp_path / "d.csv", ["0,1.0,2.0", f"1,3.0,{value}"])
+    @pytest.mark.parametrize("value, later", [
+        ("nan", []), ("inf", []), ("-inf", []),
+        ("nan", ["0,1.0,2.0", "abc,1.0,2.0"])],  # the first fault is named, not a later one
+        ids=["nan", "inf", "-inf", "nan before a malformed line"])
+    def test_non_finite_feature_names_path_line(self, tmp_path, value, later):
+        path = write_dataset(tmp_path / "d.csv", ["0,1.0,2.0", f"1,3.0,{value}", *later])
         message = re.escape(f"{path}:4: non-finite feature")
         with pytest.raises(data.DataError, match=message):
             data.load_dataset(path)

@@ -35,6 +35,21 @@ class TestGenData:
         for name in ("train.csv", "test.csv", "embeddings.txt"):
             assert (workspace / name).exists()
 
+    # 10**14 rows per class are 455 PiB of features: more than any address
+    # space, so the allocation fails whole; larger counts are refused by numpy
+    # before any allocation, as no array can be that large
+    @pytest.mark.parametrize("flag", ["train-per-class", "test-per-class"])
+    @pytest.mark.parametrize("count, reason", [(10 ** 14, "PiB"), (10 ** 17, "array is too big"),
+                                               (10 ** 20, "dimension exceeded")])
+    def test_counts_too_large_to_allocate_are_usage_errors(self, tmp_path, capsys, flag,
+                                                           count, reason):
+        out = tmp_path / "out"
+        assert run(["gen-data", f"--{flag}", str(count), "--out-dir", str(out)]) \
+            == cli.EXIT_USAGE
+        line, = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: synthetic data too large to generate: ") and reason in line
+        assert not out.exists()
+
 
 class TestBuildSim:
     def test_output_loads_and_validates(self, workspace, capsys):
@@ -111,6 +126,16 @@ class TestVerify:
         assert out == ""
         line, = err.splitlines()
         assert line.startswith(f"error: horizon {10 ** 14} is too long: ") and "PiB" in line
+
+    @pytest.mark.parametrize("horizon, reason", [(10 ** 18, "array is too big"),
+                                                 (10 ** 20, "dimension exceeded")])
+    def test_horizon_beyond_any_array_is_usage_error(self, workspace, capsys, horizon,
+                                                     reason):
+        # numpy refuses these sizes before any allocation
+        assert run(["verify", "--sim", str(workspace / "sim.csv"), "--epsilon", "0.9",
+                    "--horizon", str(horizon)]) == cli.EXIT_USAGE
+        line, = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: horizon {horizon} is too long: ") and reason in line
 
 
 class TestRunAndReport:

@@ -366,6 +366,23 @@ class TestVerifyMatchesFormerCode:
             assert report.violations == violations
             assert report.entropies.tobytes() == entropies.tobytes()
 
+    @pytest.mark.parametrize("layout", ["column-major", "strided"])
+    @pytest.mark.parametrize("kind", ["valid", "nan row", "argmax off the diagonal"])
+    def test_any_memory_layout_gives_the_row_major_bits(self, monkeypatch, kind, layout):
+        """Blocks of a column-major or strided schedule are checked as rows:
+        the diagonal masks and the row sums see the row-major bits."""
+        monkeypatch.setattr(cur, "VERIFY_BLOCK_BYTES", 5 * 8 * 12)
+        t = random_targets(np.random.default_rng(70 + KINDS.index(kind)), 12, kind)
+        stored = np.asfortranarray(t) if layout == "column-major" else \
+            np.repeat(t, 2, axis=1)[:, ::2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = cur.verify_curriculum(bypass_schedule(stored, 0.9), 15)
+            entropies, violations = reference_verify(bypass_schedule(t, 0.9), 15)
+        assert report.violations == violations
+        assert report.entropies.tobytes() == entropies.tobytes()
+        assert report.passed == (kind == "valid")
+
     @pytest.mark.parametrize("kind", ["valid", "nan row", "argmax off the diagonal",
                                       "off the simplex"])
     def test_default_blocks_at_400_classes(self, kind):
