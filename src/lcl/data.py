@@ -221,6 +221,12 @@ def subsample(ds, dr, seed):
                    num_classes=ds.num_classes, split="train")
 
 
+def _overflow(spec, what, fields):
+    """The DataError for generated entries that overflowed float64."""
+    values = ", ".join(f"{name}={getattr(spec, name):g}" for name in fields)
+    return DataError(f"synthetic {what} overflow float64: {values}; use smaller spreads")
+
+
 def generate_synthetic(spec):
     """Sample the hierarchical-cluster task: supercluster centers at scale
     inter_spread, class centers offset at scale intra_spread, examples with
@@ -228,24 +234,34 @@ def generate_synthetic(spec):
     so cosine similarity is higher within a supercluster."""
     rng = np.random.default_rng(spec.seed)
     c_total, dim = spec.num_classes, spec.dim
+    # spreads near the float64 limit overflow to inf; the checks below name
+    # them, so the sums neither warn nor fail under -W error
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            super_centers = rng.normal(0.0, spec.inter_spread,
+                                       size=(spec.num_superclusters, dim))
+            centers = np.repeat(super_centers, spec.classes_per_supercluster, axis=0) \
+                + rng.normal(0.0, spec.intra_spread, size=(c_total, dim))
+            splits = []
+            for per_class in (spec.train_per_class, spec.test_per_class):
+                # the noise of each class's rows, plus its center in place: the draws
+                # and sums of center-per-row + noise, with no second (n, d) array
+                feats = rng.normal(0.0, spec.noise_sigma, size=(c_total, per_class, dim))
+                feats += centers[:, None, :]
+                splits.append((feats.reshape(c_total * per_class, dim),
+                               np.repeat(np.arange(c_total), per_class)))
+        # numpy's message names the size it could not allocate, or says that no
+        # array can be that large
+        except (MemoryError, ValueError) as exc:
+            raise DataError(f"synthetic data too large to generate: {exc}") from exc
+    if not np.isfinite(centers).all():
+        raise _overflow(spec, "class centers", ("inter_spread", "intra_spread"))
     try:
-        super_centers = rng.normal(0.0, spec.inter_spread, size=(spec.num_superclusters, dim))
-        centers = np.repeat(super_centers, spec.classes_per_supercluster, axis=0) \
-            + rng.normal(0.0, spec.intra_spread, size=(c_total, dim))
-        splits = []
-        for per_class in (spec.train_per_class, spec.test_per_class):
-            # the noise of each class's rows, plus its center in place: the draws
-            # and sums of center-per-row + noise, with no second (n, d) array
-            feats = rng.normal(0.0, spec.noise_sigma, size=(c_total, per_class, dim))
-            feats += centers[:, None, :]
-            splits.append((feats.reshape(c_total * per_class, dim),
-                           np.repeat(np.arange(c_total), per_class)))
-    # numpy's message names the size it could not allocate, or says that no
-    # array can be that large
-    except (MemoryError, ValueError) as exc:
-        raise DataError(f"synthetic data too large to generate: {exc}") from exc
-    train, test = (Dataset(features=feats, labels=labels, num_classes=c_total, split=split)
-                   for (feats, labels), split in zip(splits, ("train", "test")))
+        train, test = (Dataset(features=feats, labels=labels, num_classes=c_total, split=split)
+                       for (feats, labels), split in zip(splits, ("train", "test")))
+    except DataError:  # every class has its rows, so only a non-finite feature is refused
+        raise _overflow(spec, "features",
+                        ("inter_spread", "intra_spread", "noise_sigma")) from None
     names = [f"c{s}_{k}" for s in range(spec.num_superclusters)
              for k in range(spec.classes_per_supercluster)]
     embeddings = EmbeddingTable(class_names=names, vectors=centers)

@@ -179,11 +179,13 @@ def _topk_hits(probs, labels, ks):
     return [int(np.add.reduce(rank < k)) for k in ks]
 
 
-def _log_losses(pending, targets, b, lam, out):
+def _log_losses(chunks, targets, b, lam, out):
     """Set out (M, batches) to the mean loss of each b-row batch (the last may
-    be short) of the pending (M, b, C) predictions: cross-entropy, plus
-    KL(peer || own) for a DML pair, plus the lam * regularizer out holds."""
-    preds = np.concatenate(pending, axis=1)
+    be short) of every model's (b, C) predictions in chunks, one list per
+    model: cross-entropy, plus KL(peer || own) for a DML pair, plus the
+    lam * regularizer out holds."""
+    # the blocks model by model are the (M, rows, C) predictions in row order
+    preds = np.concatenate(sum(chunks, [])).reshape((len(chunks),) + targets.shape)
     terms = np.maximum(preds, model.PROB_FLOOR)
     np.log(terms, out=terms)
     terms *= targets
@@ -195,7 +197,10 @@ def _log_losses(pending, targets, b, lam, out):
     if full < out.shape[1]:
         means = np.hstack([means, np.add.reduce(ce[:, full * b:], axis=-1, keepdims=True)
                            / (len(targets) - full * b)])
-    out[:] = means + out if lam else means
+    if lam:
+        out += means
+    else:
+        out[:] = means
 
 
 def _train(config, models, xs, index, table_at, shuffle_rng):
@@ -207,39 +212,45 @@ def _train(config, models, xs, index, table_at, shuffle_rng):
     every LOSS_LOG_ROWS rows; sgd_step does not check finiteness, so ModelError
     is raised here on a non-finite epoch loss or final parameter."""
     models = list(models)
-    n, b, lam = xs.shape[0], config.batch_size, config.lam
+    # bound once per call, so that a function set on the module beforehand is used
+    forward, gradient, step = model.forward_batch, model.gradient_from_arrays, model.sgd_step
+    regularizer = model.regularizer
+    n, b, lam, pair = xs.shape[0], config.batch_size, config.lam, len(models) == 2
     per_log = max(1, LOSS_LOG_ROWS // b) * b  # rows gathered and logged at once
+    # every epoch writes each batch's loss before it reads it, so one array serves all
+    losses = np.empty((len(models), -(-n // b)))
     history = np.empty((config.epochs, len(models)))
     for epoch in range(config.epochs):
         lr = config.lr * config.lr_decay ** epoch
         table = table_at(epoch)
         order = shuffle_rng.permutation(n)
-        losses = np.empty((len(models), -(-n // b)))
         for first in range(0, n, per_log):
             rows = order[first:first + per_log]
-            xs_rows, targets_rows, pending = xs[rows], table[index[rows]], []
+            # take() gathers the rows that fancy indexing would, at less cost
+            xs_rows, targets_rows = xs.take(rows, axis=0), table.take(index.take(rows), axis=0)
+            chunks = [[] for _ in models]  # each model's predictions, batch by batch
             for start in range(0, len(rows), b):
                 xb, tb = xs_rows[start:start + b], targets_rows[start:start + b]
-                outs = [model.forward_batch(p, xb) for p in models]
-                preds = [pred for pred, _ in outs]
-                pending.append(preds)
+                outs = [forward(params, xb) for params in models]
                 for m, (pred, hidden) in enumerate(outs):
+                    chunks[m].append(pred)
                     err = pred - tb
-                    if len(preds) == 2:  # mimicry: KL(peer || own), logit error own - peer
-                        err += pred - preds[1 - m]
+                    if pair:  # mimicry: KL(peer || own), logit error own - peer
+                        err += pred - outs[1 - m][0]
                     params = models[m]
                     if lam:  # the logged loss takes the regularizer before the step
-                        losses[m, (first + start) // b] = lam * model.regularizer(params)
-                    grads = model.gradient_from_arrays(params, xb, err, lam, hidden)
-                    models[m] = model.sgd_step(params, grads, lr)
-            _log_losses(pending, targets_rows, b, lam,
-                        losses[:, first // b:first // b + len(pending)])
-        # the sum over the batches divided by their count is what mean() computes
-        history[epoch] = np.add.reduce(losses, axis=1) / losses.shape[1]
-        if not np.logical_and.reduce(np.isfinite(history[epoch])):
+                        losses[m, (first + start) // b] = lam * regularizer(params)
+                    models[m] = step(params, gradient(params, xb, err, lam, hidden), lr)
+            _log_losses(chunks, targets_rows, b, lam,
+                        losses[:, first // b:first // b + len(chunks[0])])
+        # the sum over the batches, divided by their count after the last epoch, is
+        # what mean() computes; a sum is finite exactly when its mean is
+        sums = np.add.reduce(losses, axis=1, out=history[epoch])
+        if not all(map(math.isfinite, sums.tolist())):
             raise model.ModelError(f"epoch {epoch + 1}/{config.epochs}: non-finite loss")
     if not all(params.is_finite() for params in models):
         raise model.ModelError(f"epoch {config.epochs}/{config.epochs}: non-finite parameters")
+    history /= losses.shape[1]
     return models, history.T.tolist()
 
 

@@ -163,10 +163,11 @@ def _batch_arrays(batch):
 
 def regularizer(params):
     """Half the summed squared weights; biases excluded."""
-    r = 0.5 * np.add.reduce(params.W_out * params.W_out, axis=None)
+    # Python floats round as numpy's float64 scalars do, at less cost
+    r = 0.5 * float(np.add.reduce(params.W_out * params.W_out, axis=None))
     if params.architecture == "mlp1":
-        r += 0.5 * np.add.reduce(params.W1 * params.W1, axis=None)
-    return float(r)
+        r += 0.5 * float(np.add.reduce(params.W1 * params.W1, axis=None))
+    return r
 
 
 def objective(params, batch, lam=0.0):
@@ -195,28 +196,35 @@ def gradient_from_arrays(params, xs, err, lam=0.0, hidden=None):
     result skips the ClassifierParams checks: the training loop checks
     finiteness at epoch and trial boundaries."""
     err = err / xs.shape[0]
-    if params.architecture == "linear":
-        grads = {"W_out": xs.T @ err, "b_out": np.add.reduce(err, axis=0)}
+    architecture = params.architecture
+    if architecture == "linear":
+        grads = {"architecture": architecture, "W_out": xs.T @ err,
+                 "b_out": np.add.reduce(err, axis=0)}
     else:
         pre, act = _logits(params, xs)[1] if hidden is None else hidden
-        back = (err @ params.W_out.T) * (pre > 0.0)
-        grads = {"W1": xs.T @ back, "b1": np.add.reduce(back, axis=0),
-                 "W_out": act.T @ err, "b_out": np.add.reduce(err, axis=0)}
+        back = err @ params.W_out.T
+        back *= pre > 0.0
+        grads = {"architecture": architecture, "W1": xs.T @ back,
+                 "b1": np.add.reduce(back, axis=0), "W_out": act.T @ err,
+                 "b_out": np.add.reduce(err, axis=0)}
     if lam:  # weight decay on the weights, every other array in LAYOUT order
-        for name in LAYOUT[params.architecture][::2]:
+        for name in LAYOUT[architecture][::2]:
             grads[name] += lam * getattr(params, name)
-    grads["architecture"] = params.architecture
     return _unchecked(ClassifierParams, grads)
 
 
 def sgd_step(params, grads, lr):
     """theta <- theta - lr * g for every parameter array. Like the gradient,
-    the result skips the ClassifierParams checks."""
+    the result skips the ClassifierParams checks. Each new array is written
+    over the lr * g computed for it, so it takes the gradient's dtype:
+    float64 for every gradient of float64 inputs."""
     if grads.architecture != params.architecture:
         raise ModelError("gradient/parameter architecture mismatch")
-    old, step, new = vars(params), vars(grads), {"architecture": params.architecture}
+    old, step = params.__dict__, grads.__dict__
+    new = {"architecture": params.architecture}
     for name in LAYOUT[params.architecture]:
-        new[name] = old[name] - lr * step[name]
+        t = np.multiply(step[name], lr)
+        new[name] = np.subtract(old[name], t, out=t)
     return _unchecked(ClassifierParams, new)
 
 

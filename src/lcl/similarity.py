@@ -168,8 +168,8 @@ class HierarchyGraph:
 def load_embeddings(path, expected_dim=None):
     """Read a whitespace-separated embedding file: one `name f1 ... fd` line
     per class, `#` comments ignored. Line order defines the class index."""
-    if expected_dim is not None:
-        _integer("expected_dim", expected_dim, SimilarityError)
+    if expected_dim is not None and _integer("expected_dim", expected_dim, SimilarityError) < 1:
+        raise SimilarityError(f"expected_dim must be >= 1, got {expected_dim}")
     names, rows = [], []
     with _files.named(path, SimilarityError), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
