@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _files
 from .curriculum import _integer, _real
-from .similarity import EmbeddingTable
+from .similarity import EmbeddingTable, SimilarityError, _largest_entry
 
 
 LOAD_ROWS = 1024  # lines of a dataset file numpy's C parser reads at once
@@ -221,10 +221,12 @@ def subsample(ds, dr, seed):
                    num_classes=ds.num_classes, split="train")
 
 
-def _overflow(spec, what, fields):
-    """The DataError for generated entries that overflowed float64."""
+def _spread_error(spec, what, fields, under=False):
+    """The DataError for generated entries that overflowed float64 or, when
+    under, underflowed it."""
     values = ", ".join(f"{name}={getattr(spec, name):g}" for name in fields)
-    return DataError(f"synthetic {what} overflow float64: {values}; use smaller spreads")
+    flow, spreads = ("underflow", "larger") if under else ("overflow", "smaller")
+    return DataError(f"synthetic {what} {flow} float64: {values}; use {spreads} spreads")
 
 
 def generate_synthetic(spec):
@@ -255,14 +257,19 @@ def generate_synthetic(spec):
         except (MemoryError, ValueError) as exc:
             raise DataError(f"synthetic data too large to generate: {exc}") from exc
     if not np.isfinite(centers).all():
-        raise _overflow(spec, "class centers", ("inter_spread", "intra_spread"))
+        raise _spread_error(spec, "class centers", ("inter_spread", "intra_spread"))
     try:
         train, test = (Dataset(features=feats, labels=labels, num_classes=c_total, split=split)
                        for (feats, labels), split in zip(splits, ("train", "test")))
     except DataError:  # every class has its rows, so only a non-finite feature is refused
-        raise _overflow(spec, "features",
-                        ("inter_spread", "intra_spread", "noise_sigma")) from None
+        raise _spread_error(spec, "features",
+                            ("inter_spread", "intra_spread", "noise_sigma")) from None
     names = [f"c{s}_{k}" for s in range(spec.num_superclusters)
              for k in range(spec.classes_per_supercluster)]
-    embeddings = EmbeddingTable(class_names=names, vectors=centers)
+    try:
+        embeddings = EmbeddingTable(class_names=names, vectors=centers)
+    except SimilarityError:  # finite centers whose norms would overflow or underflow
+        large = np.maximum.reduce(np.abs(centers), axis=None) > _largest_entry(dim)
+        raise _spread_error(spec, "class center norms", ("inter_spread", "intra_spread"),
+                            under=not large) from None
     return train, test, embeddings

@@ -25,7 +25,7 @@ class ExperimentError(ValueError):
 
 DEFAULT_ALPHA = 0.1  # LS
 DEFAULT_TEMPERATURE = 1.0  # KD
-LOSS_LOG_ROWS = 64  # rows whose losses are computed at once, rounded to whole batches
+LOSS_LOG_ROWS = 256  # rows whose losses are computed at once (see _train)
 SHARED_TABLE_BYTES = 16 * 2 ** 20  # LCL tables a suite keeps for one run of a config's seeds
 EVAL_ROWS = 1024  # test rows per forward pass in evaluation
 
@@ -180,23 +180,30 @@ def _topk_hits(probs, labels, ks):
 
 
 def _log_losses(chunks, targets, b, lam, out):
-    """Set out (M, batches) to the mean loss of each b-row batch (the last may
-    be short) of every model's (b, C) predictions in chunks, one list per
-    model: cross-entropy, plus KL(peer || own) for a DML pair, plus the
-    lam * regularizer out holds."""
+    """Set out (E, M, batches) to the mean loss of each b-row batch of every
+    model's (b, C) predictions in chunks, one list per model, against the
+    target rows in the list targets. The rows are E runs of equal length
+    (epochs, or one chunk of an epoch), each cut into batches of which the
+    last may be short. A loss is cross-entropy, plus KL(peer || own) for a DML
+    pair, plus the lam * regularizer out holds."""
+    targets = np.concatenate(targets)
+    runs, m = out.shape[:2]
     # the blocks model by model are the (M, rows, C) predictions in row order
-    preds = np.concatenate(sum(chunks, [])).reshape((len(chunks),) + targets.shape)
+    preds = np.concatenate(sum(chunks, [])).reshape((m,) + targets.shape)
     terms = np.maximum(preds, model.PROB_FLOOR)
     np.log(terms, out=terms)
     terms *= targets
     ce = -np.add.reduce(terms, axis=-1)
-    if len(preds) == 2:
+    if m == 2:
         ce += model.kl_rows(preds[::-1], preds)
-    full = len(targets) // b
-    means = np.add.reduce(ce[:, :full * b].reshape(len(ce), full, b), axis=-1) / b
-    if full < out.shape[1]:
-        means = np.hstack([means, np.add.reduce(ce[:, full * b:], axis=-1, keepdims=True)
-                           / (len(targets) - full * b)])
+    ce = ce.reshape(m, runs, -1)
+    rows = ce.shape[-1]
+    full = rows // b
+    means = np.add.reduce(ce[..., :full * b].reshape(m, runs, full, b), axis=-1) / b
+    if full < out.shape[2]:
+        means = np.concatenate([means, np.add.reduce(ce[..., full * b:], axis=-1, keepdims=True)
+                                / (rows - full * b)], axis=-1)
+    means = means.transpose(1, 0, 2)
     if lam:
         out += means
     else:
@@ -208,49 +215,76 @@ def _train(config, models, xs, index, table_at, shuffle_rng):
     the targets table_at(t)[index[rows]]: rows of a C x C class table picked
     by label, or of KD's (n, C) soft targets picked by row. Two models are a
     DML pair, each also pulled toward the other's prediction. Returns the
-    trained models and their per-epoch mean losses, logged after the steps of
-    every LOSS_LOG_ROWS rows; sgd_step does not check finiteness, so ModelError
-    is raised here on a non-finite epoch loss or final parameter."""
+    trained models and their per-epoch mean losses.
+
+    The losses are computed after the steps, LOSS_LOG_ROWS rows at a time:
+    an epoch of at most that many rows waits for the following epochs while
+    their rows fit, and a larger one is logged in chunks of whole batches.
+    Each such block of epochs takes its shuffles from one draw. sgd_step does
+    not check finiteness, so ModelError is raised here on a non-finite final
+    parameter or epoch loss, before a later epoch trains."""
     models = list(models)
     # bound once per call, so that a function set on the module beforehand is used
     forward, gradient, step = model.forward_batch, model.gradient_from_arrays, model.sgd_step
     regularizer = model.regularizer
     n, b, lam, pair = xs.shape[0], config.batch_size, config.lam, len(models) == 2
-    per_log = max(1, LOSS_LOG_ROWS // b) * b  # rows gathered and logged at once
-    # every epoch writes each batch's loss before it reads it, so one array serves all
-    losses = np.empty((len(models), -(-n // b)))
+    per_block = max(1, LOSS_LOG_ROWS // n)  # epochs whose losses are logged at once
+    per_log = n if n <= LOSS_LOG_ROWS else max(1, LOSS_LOG_ROWS // b) * b  # rows gathered at once
+    # every block writes each batch's loss before it reads it, so one array serves all
+    losses = np.empty((per_block, len(models), -(-n // b)))
     history = np.empty((config.epochs, len(models)))
-    for epoch in range(config.epochs):
-        lr = config.lr * config.lr_decay ** epoch
-        table = table_at(epoch)
-        order = shuffle_rng.permutation(n)
-        for first in range(0, n, per_log):
-            rows = order[first:first + per_log]
-            # take() gathers the rows that fancy indexing would, at less cost
-            xs_rows, targets_rows = xs.take(rows, axis=0), table.take(index.take(rows), axis=0)
-            chunks = [[] for _ in models]  # each model's predictions, batch by batch
-            for start in range(0, len(rows), b):
-                xb, tb = xs_rows[start:start + b], targets_rows[start:start + b]
-                outs = [forward(params, xb) for params in models]
-                for m, (pred, hidden) in enumerate(outs):
-                    chunks[m].append(pred)
-                    err = pred - tb
-                    if pair:  # mimicry: KL(peer || own), logit error own - peer
-                        err += pred - outs[1 - m][0]
-                    params = models[m]
-                    if lam:  # the logged loss takes the regularizer before the step
-                        losses[m, (first + start) // b] = lam * regularizer(params)
-                    models[m] = step(params, gradient(params, xb, err, lam, hidden), lr)
-            _log_losses(chunks, targets_rows, b, lam,
-                        losses[:, first // b:first // b + len(chunks[0])])
-        # the sum over the batches, divided by their count after the last epoch, is
-        # what mean() computes; a sum is finite exactly when its mean is
-        sums = np.add.reduce(losses, axis=1, out=history[epoch])
-        if not all(map(math.isfinite, sums.tolist())):
-            raise model.ModelError(f"epoch {epoch + 1}/{config.epochs}: non-finite loss")
+    chunks, targets = [[] for _ in models], []  # predictions and target rows not yet logged
+    for first in range(0, config.epochs, per_block):
+        count = min(per_block, config.epochs - first)
+        # the orders of `count` permutation(n) calls, and the same generator state after
+        orders = shuffle_rng.permuted(np.broadcast_to(np.arange(n), (count, n)), axis=1)
+        logged = 0  # epochs of the block whose losses are in history
+        for j in range(count):
+            lr = config.lr * config.lr_decay ** (first + j)
+            table = table_at(first + j)
+            for start in range(0, n, per_log):
+                rows = orders[j, start:start + per_log]
+                # take() gathers the rows that fancy indexing would, at less cost
+                xs_rows, targets_rows = xs.take(rows, axis=0), table.take(index.take(rows), axis=0)
+                targets.append(targets_rows)
+                for s in range(0, len(rows), b):
+                    xb, tb = xs_rows[s:s + b], targets_rows[s:s + b]
+                    outs = [forward(params, xb) for params in models]
+                    for m, (pred, hidden) in enumerate(outs):
+                        chunks[m].append(pred)
+                        err = pred - tb
+                        if pair:  # mimicry: KL(peer || own), logit error own - peer
+                            err += pred - outs[1 - m][0]
+                        params = models[m]
+                        if lam:  # the logged loss takes the regularizer before the step
+                            losses[j, m, (start + s) // b] = lam * regularizer(params)
+                        models[m] = step(params, gradient(params, xb, err, lam, hidden), lr)
+                if start + per_log < n:  # a chunk of an epoch larger than LOSS_LOG_ROWS
+                    _log_losses(chunks, targets, b, lam,
+                                losses[j:j + 1, :, start // b:(start + per_log) // b])
+                    chunks, targets = [[] for _ in models], []
+            # An epoch's losses wait for the rest of the block only if surely finite.
+            # A non-finite prediction or target row makes every later prediction NaN
+            # through the step, so the epoch's last error (a DML pair's second holds
+            # both predictions) is finite only if every batch's cross-entropy and KL
+            # are, and with lam > 0 regularizer terms below 1e300 keep each sum of
+            # them finite. Any other epoch is logged and checked before the next.
+            if j + 1 < count and math.isfinite(np.add.reduce(err, axis=None)) and (
+                    not lam or np.maximum.reduce(losses[j], axis=None) < 1e300):
+                continue
+            _log_losses(chunks, targets, b, lam, losses[logged:j + 1, :, start // b:])
+            chunks, targets = [[] for _ in models], []
+            # the sum over the batches, divided by their count after the last epoch, is
+            # what mean() computes; a sum is finite exactly when its mean is
+            sums = np.add.reduce(losses[logged:j + 1], axis=2,
+                                 out=history[first + logged:first + j + 1])
+            if not np.isfinite(sums).all():
+                bad = first + logged + int(np.argmin(np.isfinite(sums).all(axis=1)))
+                raise model.ModelError(f"epoch {bad + 1}/{config.epochs}: non-finite loss")
+            logged = j + 1
     if not all(params.is_finite() for params in models):
         raise model.ModelError(f"epoch {config.epochs}/{config.epochs}: non-finite parameters")
-    history /= losses.shape[1]
+    history /= losses.shape[2]
     return models, history.T.tolist()
 
 

@@ -45,6 +45,26 @@ def test_large_finite_spreads_still_generate():
     assert train.num_examples == 1000 and emb.num_classes == 20
 
 
+@pytest.mark.parametrize("inter, intra, flow, advice", [
+    # finite class centers above the largest entry a 32-d norm can square
+    ("1e300", "1e299", "overflow", "smaller"),
+    # class centers whose squares underflow, so their norms would be lost
+    ("1e-300", "1e-301", "underflow", "larger"),
+])
+def test_center_norms_out_of_range_name_the_spreads(tmp_path, capsys, inter, intra, flow,
+                                                    advice):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["gen-data", "--inter-spread", inter, "--intra-spread", intra,
+                         "--out-dir", str(out)]) == cli.EXIT_USAGE
+    line, = capsys.readouterr().err.splitlines()
+    assert line == (f"error: synthetic class center norms {flow} float64: "
+                    f"inter_spread={float(inter):g}, intra_spread={float(intra):g}; "
+                    f"use {advice} spreads")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dim", [0, -3])
 def test_expected_dim_below_one_is_refused_before_the_file_is_read(tmp_path, dim):
     with pytest.raises(sm.SimilarityError, match=f"^expected_dim must be >= 1, got {dim}$"):
