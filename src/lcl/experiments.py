@@ -100,6 +100,11 @@ class ExperimentConfig:
             curriculum._integer(name, getattr(self, name), ExperimentError)
         if min(self.epochs, self.batch_size, self.hidden) < 1:
             raise ExperimentError("epochs, batch_size and hidden must be >= 1")
+        try:  # the last epoch's rate is lr * lr_decay ** (epochs - 1)
+            math.pow(self.lr_decay, self.epochs - 1)
+        except OverflowError:
+            raise ExperimentError(f"lr_decay ** (epochs - 1) overflows float64: "
+                                  f"lr_decay={self.lr_decay}, epochs={self.epochs}") from None
         if self.architecture not in model.ARCHITECTURES:
             raise ExperimentError(f"unknown architecture {self.architecture!r}")
         _check_seeds(self.seeds)
@@ -210,6 +215,7 @@ def _log_losses(chunks, targets, b, lam, out):
         out[:] = means
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence ends in ModelError, no warning
 def _train(config, models, xs, index, table_at, shuffle_rng):
     """The SGD loop of every encoding. Training rows `rows` of epoch t take
     the targets table_at(t)[index[rows]]: rows of a C x C class table picked
@@ -218,70 +224,68 @@ def _train(config, models, xs, index, table_at, shuffle_rng):
     trained models and their per-epoch mean losses.
 
     The losses are computed after the steps, LOSS_LOG_ROWS rows at a time:
-    an epoch of at most that many rows waits for the following epochs while
-    their rows fit, and a larger one is logged in chunks of whole batches.
-    Each such block of epochs takes its shuffles from one draw. sgd_step does
-    not check finiteness, so ModelError is raised here on a non-finite final
-    parameter or epoch loss, before a later epoch trains."""
+    epochs of at most that many rows form blocks of as many as fit, each
+    shuffled by one draw, and a larger epoch is a block alone, gathered in
+    chunks of whole batches. What is pending is logged when a chunk ends,
+    unless it ends an epoch that can wait for the rest of its block. sgd_step
+    does not check finiteness, so ModelError is raised here on a non-finite
+    final parameter or epoch loss, before a later epoch trains."""
     models = list(models)
     # bound once per call, so that a function set on the module beforehand is used
     forward, gradient, step = model.forward_batch, model.gradient_from_arrays, model.sgd_step
     regularizer = model.regularizer
     n, b, lam, pair = xs.shape[0], config.batch_size, config.lam, len(models) == 2
-    per_block = max(1, LOSS_LOG_ROWS // n)  # epochs whose losses are logged at once
+    per_block = max(1, LOSS_LOG_ROWS // n)  # epochs whose shuffles are drawn at once
     per_log = n if n <= LOSS_LOG_ROWS else max(1, LOSS_LOG_ROWS // b) * b  # rows gathered at once
-    # every block writes each batch's loss before it reads it, so one array serves all
+    # every flush writes each batch's loss before it reads it, so one array serves all
     losses = np.empty((per_block, len(models), -(-n // b)))
     history = np.empty((config.epochs, len(models)))
     chunks, targets = [[] for _ in models], []  # predictions and target rows not yet logged
-    for first in range(0, config.epochs, per_block):
-        count = min(per_block, config.epochs - first)
-        # the orders of `count` permutation(n) calls, and the same generator state after
-        orders = shuffle_rng.permuted(np.broadcast_to(np.arange(n), (count, n)), axis=1)
-        logged = 0  # epochs of the block whose losses are in history
-        for j in range(count):
-            lr = config.lr * config.lr_decay ** (first + j)
-            table = table_at(first + j)
-            for start in range(0, n, per_log):
-                rows = orders[j, start:start + per_log]
-                # take() gathers the rows that fancy indexing would, at less cost
-                xs_rows, targets_rows = xs.take(rows, axis=0), table.take(index.take(rows), axis=0)
-                targets.append(targets_rows)
-                for s in range(0, len(rows), b):
-                    xb, tb = xs_rows[s:s + b], targets_rows[s:s + b]
-                    outs = [forward(params, xb) for params in models]
-                    for m, (pred, hidden) in enumerate(outs):
-                        chunks[m].append(pred)
-                        err = pred - tb
-                        if pair:  # mimicry: KL(peer || own), logit error own - peer
-                            err += pred - outs[1 - m][0]
-                        params = models[m]
-                        if lam:  # the logged loss takes the regularizer before the step
-                            losses[j, m, (start + s) // b] = lam * regularizer(params)
-                        models[m] = step(params, gradient(params, xb, err, lam, hidden), lr)
-                if start + per_log < n:  # a chunk of an epoch larger than LOSS_LOG_ROWS
-                    _log_losses(chunks, targets, b, lam,
-                                losses[j:j + 1, :, start // b:(start + per_log) // b])
-                    chunks, targets = [[] for _ in models], []
-            # An epoch's losses wait for the rest of the block only if surely finite.
-            # A non-finite prediction or target row makes every later prediction NaN
-            # through the step, so the epoch's last error (a DML pair's second holds
-            # both predictions) is finite only if every batch's cross-entropy and KL
-            # are, and with lam > 0 regularizer terms below 1e300 keep each sum of
-            # them finite. Any other epoch is logged and checked before the next.
-            if j + 1 < count and math.isfinite(np.add.reduce(err, axis=None)) and (
+    pending = 0  # the first epoch whose losses are not in history
+    for epoch in range(config.epochs):
+        j = epoch % per_block  # the epoch's row of orders and losses
+        if not j:  # the orders of the block's permutation(n) calls, and the same generator state
+            orders = shuffle_rng.permuted(
+                np.broadcast_to(np.arange(n), (min(per_block, config.epochs - epoch), n)), axis=1)
+        lr, table = config.lr * config.lr_decay ** epoch, table_at(epoch)
+        for start in range(0, n, per_log):
+            rows = orders[j, start:start + per_log]
+            # take() gathers the rows that fancy indexing would, at less cost
+            xs_rows, targets_rows = xs.take(rows, axis=0), table.take(index.take(rows), axis=0)
+            targets.append(targets_rows)
+            for s in range(0, len(rows), b):
+                xb, tb = xs_rows[s:s + b], targets_rows[s:s + b]
+                outs = [forward(params, xb) for params in models]
+                for m, (pred, hidden) in enumerate(outs):
+                    chunks[m].append(pred)
+                    err = pred - tb
+                    if pair:  # mimicry: KL(peer || own), logit error own - peer
+                        err += pred - outs[1 - m][0]
+                    params = models[m]
+                    if lam:  # the logged loss takes the regularizer before the step
+                        losses[j, m, (start + s) // b] = lam * regularizer(params)
+                    models[m] = step(params, gradient(params, xb, err, lam, hidden), lr)
+            # An epoch waits for the rest of its block (it is then one chunk) only if its
+            # loss is surely finite: a non-finite prediction or target row makes every
+            # later prediction NaN through the step, so the last error (a DML pair's second
+            # holds both predictions) is finite only if every batch's cross-entropy and KL
+            # are, and with lam > 0 regularizer terms below 1e300 keep each sum finite.
+            if j + 1 < len(orders) and math.isfinite(np.add.reduce(err, axis=None)) and (
                     not lam or np.maximum.reduce(losses[j], axis=None) < 1e300):
                 continue
-            _log_losses(chunks, targets, b, lam, losses[logged:j + 1, :, start // b:])
+            _log_losses(chunks, targets, b, lam,
+                        losses[pending % per_block:j + 1, :, start // b:(start + s) // b + 1])
             chunks, targets = [[] for _ in models], []
+            if start + per_log < n:  # the epoch goes on
+                continue
             # the sum over the batches, divided by their count after the last epoch, is
             # what mean() computes; a sum is finite exactly when its mean is
-            sums = np.add.reduce(losses[logged:j + 1], axis=2,
-                                 out=history[first + logged:first + j + 1])
+            sums = np.add.reduce(losses[pending % per_block:j + 1], axis=2,
+                                 out=history[pending:epoch + 1])
             if not np.isfinite(sums).all():
-                bad = first + logged + int(np.argmin(np.isfinite(sums).all(axis=1)))
+                bad = pending + int(np.argmin(np.isfinite(sums).all(axis=1)))
                 raise model.ModelError(f"epoch {bad + 1}/{config.epochs}: non-finite loss")
-            logged = j + 1
+            pending = epoch + 1
     if not all(params.is_finite() for params in models):
         raise model.ModelError(f"epoch {config.epochs}/{config.epochs}: non-finite parameters")
     history /= losses.shape[2]

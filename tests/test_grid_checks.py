@@ -39,6 +39,10 @@ BAD_VALUES = [
     ("SL", {"batch_size": 0}, "batch_size"), ("SL", {"hidden": 0}, "hidden"),
     ("SL", {"architecture": "cnn"}, "architecture"),
     ("SL", {"seeds": (-1, 0)}, "seeds"), ("SL", {"seeds": (0, 1.5)}, "seeds"),
+    # lr_decay ** (epochs - 1) overflows float64, for a float, a numpy float and an int
+    ("SL", {"lr_decay": 1e40, "epochs": 9}, "lr_decay"),
+    ("SL", {"lr_decay": np.float64(1e40), "epochs": 9}, "lr_decay"),
+    ("SL", {"lr_decay": 10, "epochs": 310}, "lr_decay"),
 ]
 
 
@@ -53,6 +57,7 @@ class TestConfigRanges:
         ("SL", {"lam": 0.0}), ("SL", {"lr_decay": 2.0}),
         ("SL", {"lr": math.inf}),  # drives the final divergence check in code
         ("SL", {"batch_size": 1, "hidden": 1}), ("SL", {"architecture": "mlp1"}),
+        ("SL", {"lr_decay": 1e40, "epochs": 1}), ("SL", {"lr_decay": 10, "epochs": 300}),
     ])
     def test_range_edges_accepted(self, encoding, values):
         ex.ExperimentConfig(encoding=encoding, **values)
@@ -92,6 +97,16 @@ class TestConfigRanges:
         assert cli.main(["run", str(cfg)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert str(cfg) in err and "alpha must lie in [0, 1]" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_lr_decay_stops_run_before_training(self, tmp_path, task, capsys):
+        # used to train until the epoch whose rate overflowed, then log an OverflowError
+        cfg = write_config(tmp_path, task, "encodings = SL\n",
+                           "epochs = 9\nlr = 0.05\nlr_decay = 1e40\n")
+        assert cli.main(["run", str(cfg)]) == cli.EXIT_USAGE
+        line, = capsys.readouterr().err.splitlines()
+        assert line == (f"error: {cfg}: lr_decay ** (epochs - 1) overflows float64: "
+                        "lr_decay=1e+40, epochs=9")
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_stops_run_before_training(self, tmp_path, task, capsys):
