@@ -5,13 +5,15 @@ import math
 
 
 @contextlib.contextmanager
-def named(path, error, *also):
+def named(where, error, *also):
     """Re-raise a byte that is not UTF-8, or an exception of a type in
-    `also`, as `error("<path>: <reason>")`."""
+    `also`, as `error("<where>: <reason>")`, the reason's lines stripped and
+    joined by spaces: every refusal is one line."""
     try:
         yield
     except (UnicodeDecodeError, *also) as exc:
-        raise error(f"{path}: {exc}") from exc
+        reason = " ".join(line.strip() for line in str(exc).splitlines())
+        raise error(f"{where}: {reason}") from exc
 
 
 def write_rows(fh, rows, sep=",", lead=None):

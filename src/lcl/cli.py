@@ -107,7 +107,8 @@ CONFIG_KEYS = {"paths": ("train", "test", "similarity", "out_dir"),
 def load_config_file(path):
     """Parse the key=value experiment config into (configs, paths dict)."""
     parser = configparser.ConfigParser(interpolation=None)  # values are literal, `%` too
-    try:
+    # malformed INI, a malformed number, an ExperimentError or a non-UTF-8 byte
+    with _files.named(path, UsageError, configparser.Error, ValueError):
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
         for name in parser.sections():
@@ -137,10 +138,6 @@ def load_config_file(path):
         experiments.check_rank_cells(((c.dr, seed, c.method_label)
                                       for c in configs for seed in c.seeds),
                                      cause="[grid] repeats a value")
-    # malformed INI, a malformed number, an ExperimentError or a non-UTF-8 byte
-    except (configparser.Error, ValueError) as exc:
-        lines = (line.strip() for line in str(exc).splitlines())
-        raise UsageError(f"{path}: {' '.join(lines)}") from exc
     if not configs:
         raise UsageError(f"{path}: empty grid")
     return configs, paths

@@ -252,12 +252,10 @@ def verify_curriculum(schedule, horizon):
     if _integer("horizon", horizon) < 1:
         raise CurriculumError("horizon must be >= 1")
     c, eps = schedule.num_classes, schedule.epsilon
-    try:
-        entropies = np.zeros((horizon + 1, c))
     # numpy's message names the size it could not allocate, or says that no
     # array can be that large
-    except (MemoryError, ValueError) as exc:
-        raise CurriculumError(f"horizon {horizon} is too long: {exc}") from exc
+    with _files.named(f"horizon {horizon} is too long", CurriculumError, MemoryError, ValueError):
+        entropies = np.zeros((horizon + 1, c))
     violations = []
     rows = max(1, VERIFY_BLOCK_BYTES // (8 * c))
     for first in range(0, c, rows):

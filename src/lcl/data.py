@@ -53,8 +53,12 @@ class Dataset:
         if self.split == "train":
             present = np.unique(labels)
             if present.size != self.num_classes:
-                missing = sorted(set(range(self.num_classes)) - set(present.tolist()))
-                raise DataError(f"training split is missing classes {missing}")
+                # the first 10 absent labels lie below present.size + 10
+                missing = np.setdiff1d(np.arange(min(self.num_classes, present.size + 10)),
+                                       present)[:10].tolist()
+                more = self.num_classes - present.size - len(missing)
+                raise DataError(f"training split is missing classes {missing}"
+                                + (f" and {more} more" if more else ""))
 
     @property
     def num_examples(self):
@@ -176,6 +180,8 @@ def _parse_python(path):
                 rows.append(np.array([float(x) for x in parts[1:]]))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
+            if not -2 ** 63 <= labels[-1] < 2 ** 63:  # the labels are held as int64
+                raise DataError(f"{path}:{lineno}: label {labels[-1]} does not fit int64")
             if len(rows[-1]) != len(rows[0]):
                 raise DataError(f"{path}:{lineno}: {len(rows[-1])} features, "
                                 f"expected {len(rows[0])}")
@@ -237,25 +243,21 @@ def generate_synthetic(spec):
     rng = np.random.default_rng(spec.seed)
     c_total, dim = spec.num_classes, spec.dim
     # spreads near the float64 limit overflow to inf; the checks below name
-    # them, so the sums neither warn nor fail under -W error
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            super_centers = rng.normal(0.0, spec.inter_spread,
-                                       size=(spec.num_superclusters, dim))
-            centers = np.repeat(super_centers, spec.classes_per_supercluster, axis=0) \
-                + rng.normal(0.0, spec.intra_spread, size=(c_total, dim))
-            splits = []
-            for per_class in (spec.train_per_class, spec.test_per_class):
-                # the noise of each class's rows, plus its center in place: the draws
-                # and sums of center-per-row + noise, with no second (n, d) array
-                feats = rng.normal(0.0, spec.noise_sigma, size=(c_total, per_class, dim))
-                feats += centers[:, None, :]
-                splits.append((feats.reshape(c_total * per_class, dim),
-                               np.repeat(np.arange(c_total), per_class)))
-        # numpy's message names the size it could not allocate, or says that no
-        # array can be that large
-        except (MemoryError, ValueError) as exc:
-            raise DataError(f"synthetic data too large to generate: {exc}") from exc
+    # them, so the sums neither warn nor fail under -W error. numpy's message
+    # names the size it could not allocate, or says that no array can be that large
+    with np.errstate(over="ignore", invalid="ignore"), _files.named(
+            "synthetic data too large to generate", DataError, MemoryError, ValueError):
+        super_centers = rng.normal(0.0, spec.inter_spread, size=(spec.num_superclusters, dim))
+        centers = np.repeat(super_centers, spec.classes_per_supercluster, axis=0) \
+            + rng.normal(0.0, spec.intra_spread, size=(c_total, dim))
+        splits = []
+        for per_class in (spec.train_per_class, spec.test_per_class):
+            # the noise of each class's rows, plus its center in place: the draws
+            # and sums of center-per-row + noise, with no second (n, d) array
+            feats = rng.normal(0.0, spec.noise_sigma, size=(c_total, per_class, dim))
+            feats += centers[:, None, :]
+            splits.append((feats.reshape(c_total * per_class, dim),
+                           np.repeat(np.arange(c_total), per_class)))
     if not np.isfinite(centers).all():
         raise _spread_error(spec, "class centers", ("inter_spread", "intra_spread"))
     try:

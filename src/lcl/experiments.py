@@ -571,7 +571,8 @@ def read_raw_csv(path):
     histories or parameters. A malformed row, or one whose config a grid
     cell would reject, raises ExperimentError naming path:line; each distinct
     config is checked once."""
-    with _files.named(path, ExperimentError), open(path, encoding="utf-8", newline="") as fh:
+    with _files.named(path, ExperimentError, csv.Error), \
+            open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(RAW_HEADER) - set(reader.fieldnames or [])
         if missing:

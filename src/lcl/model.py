@@ -253,9 +253,7 @@ def load_checkpoint(path):
     for i in range(2, len(lines), 2):
         name, *shape = lines[i].split()
         values = _files.floats(lines[i + 1].split(), f"{path}:{i + 2}", ModelError)
-        try:
+        with _files.named(f"{path}:{i + 1}: bad parameter entry", ModelError, ValueError):
             fields[name] = np.array(values).reshape(tuple(int(s) for s in shape))
-        except ValueError as exc:
-            raise ModelError(f"{path}:{i + 1}: bad parameter entry: {exc}") from exc
     with _files.named(path, ModelError, ModelError):  # arrays whose shapes do not fit
         return ClassifierParams(architecture=lines[1], **fields)

@@ -248,7 +248,9 @@ def build_cosine_similarity(table, clamp_negative=True):
     the diagonal to strictly dominate.
     """
     normed = table.vectors / np.linalg.norm(table.vectors, axis=1, keepdims=True)
-    m = np.triu(normed @ normed.T, 1)  # one triangle, mirrored below: exactly symmetric
+    with _files.named(f"cosine similarity of {table.num_classes} classes is too large",
+                      SimilarityError, MemoryError, ValueError):
+        m = np.triu(normed @ normed.T, 1)  # one triangle, mirrored below: exactly symmetric
     too_close = np.flatnonzero(m >= 1.0 - DOMINANCE_TOL)
     if too_close.size:
         i, j = divmod(int(too_close[0]), table.num_classes)
@@ -289,11 +291,13 @@ def simrank(graph, decay=SIMRANK_DECAY):
     k = max(map(len, parents))
     padded = np.array([[index[p] for p in ps] + [n] * (k - len(ps)) for ps in parents]).T
     counts = np.array([len(ps) for ps in parents])
-    pair_counts = np.maximum(np.outer(counts, counts), 1)
-    s = np.eye(n + 1)
+    with _files.named(f"simrank over {n} nodes is too large", SimilarityError,
+                      MemoryError, ValueError):
+        pair_counts = np.maximum(np.outer(counts, counts), 1)
+        s = np.eye(n + 1)
+        rows, sums, block = np.empty((n, n + 1)), np.empty((n, n)), np.empty((n, n))
+        lower = np.tri(n, dtype=bool)  # the diagonal and below, zeroed before the mirror
     s[n, n] = 0.0
-    rows, sums, block = np.empty((n, n + 1)), np.empty((n, n)), np.empty((n, n))
-    lower = np.tri(n, dtype=bool)  # the diagonal and below, zeroed before the mirror
     for _ in range(graph._depth):
         sums.fill(0.0)
         for pa in padded:  # mode="clip" (indices are in range) writes out= unbuffered
@@ -331,13 +335,14 @@ def save_similarity(sim, path):
 
 def load_similarity(path):
     """Read a similarity matrix written by save_similarity."""
-    with _files.named(path, SimilarityFileError), open(path, encoding="utf-8") as fh:
+    with _files.named(path, SimilarityFileError, csv.Error), open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
         names = next(reader, [])
         if not names:  # no header, or one that names no class
             raise SimilarityFileError(f"{path}: empty similarity file")
         # every row is parsed and checked, the first C kept and all counted
-        m, count = np.empty((len(names), len(names))), 0
+        with _files.named(path, SimilarityFileError, MemoryError, ValueError):
+            m, count = np.empty((len(names), len(names))), 0
         for row in filter(None, reader):
             values = _files.floats(row, f"{path}:{reader.line_num}", SimilarityFileError)
             if len(row) != len(names):
